@@ -326,21 +326,8 @@ impl Rl4Im {
             return Vec::new();
         }
         let sg = S2vGraph::new(graph);
-        let mut tags = vec![0f32; n];
-        let mut seeds = Vec::with_capacity(k.min(n));
-        for step in 0..k.min(n) {
-            let candidates: Vec<NodeId> = (0..n as NodeId)
-                .filter(|&v| tags[v as usize] == 0.0)
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let q = self.net.q_numbers(&self.online, &sg, &tags, &candidates);
-            let pick = candidates[mcpb_rl::dqn::argmax(&q)];
-            tags[pick as usize] = self.tag_value(step, k);
-            seeds.push(pick);
-        }
-        seeds
+        self.net
+            .greedy_rollout(&self.online, &sg, k.min(n), |step| self.tag_value(step, k))
     }
 }
 

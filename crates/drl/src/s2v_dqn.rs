@@ -12,7 +12,7 @@ use crate::common::{
     grad_l2_norm, mean_f32, sample_training_subgraph, Checkpoint, EpisodeHealth, RecoveryHarness,
     RewardOracle, Task, TrainReport, TrainScope,
 };
-use mcpb_gnn::s2v::{S2v, S2vGraph};
+use mcpb_gnn::s2v::{S2v, S2vGraph, S2vRollout};
 use mcpb_graph::{Graph, NodeId};
 use mcpb_im::solver::{ImSolution, ImSolver};
 use mcpb_mcp::solver::{McpSolution, McpSolver};
@@ -94,6 +94,154 @@ impl S2vQNet {
         let mut tape = Tape::new();
         let q = self.q_values(&mut tape, store, sg, tags, candidates);
         tape.value(q).data.clone()
+    }
+
+    /// Gradient-free Q state for a greedy rollout on `sg`, with every tag at
+    /// zero. See [`S2vQRollout`].
+    pub fn rollout<'a>(&self, store: &'a ParamStore, sg: &'a S2vGraph) -> S2vQRollout<'a> {
+        let emb = self.s2v.rollout(store, sg);
+        let theta7 = store.value(self.theta7);
+        // Rows of a matmul are independent, so this equals the tape's
+        // `gather_rows(mu, candidates) * theta7` row for row.
+        let cand7 = emb.embeddings().matmul(theta7);
+        S2vQRollout {
+            emb,
+            theta5: store.value(self.theta5),
+            theta6: store.value(self.theta6),
+            theta7,
+            cand7,
+            pooled: vec![0.0; self.s2v.dim],
+            pooled6: vec![0.0; self.s2v.dim],
+        }
+    }
+
+    /// Greedy policy rollout: `budget` sequential argmax-Q selections over
+    /// the untagged nodes, tagging the `step`-th pick with `tag(step)`.
+    pub fn greedy_rollout(
+        &self,
+        store: &ParamStore,
+        sg: &S2vGraph,
+        budget: usize,
+        mut tag: impl FnMut(usize) -> f32,
+    ) -> Vec<NodeId> {
+        let _span = mcpb_trace::span("nn.rollout");
+        let mut state = self.rollout(store, sg);
+        let mut seeds = Vec::with_capacity(budget.min(sg.n));
+        for step in 0..budget {
+            let Some(pick) = state.greedy_pick() else {
+                break;
+            };
+            seeds.push(pick);
+            if step + 1 < budget {
+                state.set_tag(pick, tag(step));
+            }
+        }
+        seeds
+    }
+}
+
+/// Gradient-free Q values over an [`S2vRollout`], for greedy inference.
+///
+/// Besides the embeddings it keeps the rows of `mu_T * theta7` and
+/// refreshes only the rows that a tag change touched. Scoring a step
+/// re-sums the pooled row over all rows in row order, computes
+/// `pooled * theta6` and the `theta5` dot product over that half once, and
+/// then finishes each candidate's dot product from its cached row. Every
+/// value comes from the same per-element operations, in the same order, as
+/// [`S2vQNet::q_values`] on the tape, so the Q values are bit-identical to
+/// [`S2vQNet::q_numbers`] with the same tags.
+pub struct S2vQRollout<'a> {
+    emb: S2vRollout<'a>,
+    theta5: &'a Tensor,
+    theta6: &'a Tensor,
+    theta7: &'a Tensor,
+    /// Row `v` is `mu_T[v] * theta7`.
+    cand7: Tensor,
+    pooled: Vec<f32>,
+    pooled6: Vec<f32>,
+}
+
+impl S2vQRollout<'_> {
+    /// Node tags in effect; candidates are the nodes tagged `0.0`.
+    pub fn tags(&self) -> &[f32] {
+        self.emb.tags()
+    }
+
+    /// Sets the tag of `v` to `x`, updating embeddings and cached rows.
+    pub fn set_tag(&mut self, v: NodeId, x: f32) {
+        self.emb.set_tag(v as usize, x);
+        let mu = self.emb.embeddings();
+        let w = self.cand7.cols;
+        for &i in self.emb.changed_rows() {
+            let out = &mut self.cand7.data[i * w..(i + 1) * w];
+            self.theta7.vecmat_into(mu.row_slice(i), out);
+        }
+    }
+
+    /// The `theta5` dot product over the pooled half of the Q input, shared
+    /// by every candidate of the step.
+    fn state_prefix(&mut self) -> f32 {
+        let mu = self.emb.embeddings();
+        self.pooled.fill(0.0);
+        for r in 0..mu.rows {
+            for (p, &x) in self.pooled.iter_mut().zip(mu.row_slice(r)) {
+                *p += x;
+            }
+        }
+        let scale = 1.0 / mu.rows.max(1) as f32;
+        for p in self.pooled.iter_mut() {
+            *p *= scale;
+        }
+        self.theta6.vecmat_into(&self.pooled, &mut self.pooled6);
+        let mut acc = 0.0f32;
+        for (&p, &w) in self.pooled6.iter().zip(&self.theta5.data) {
+            acc += p.max(0.0) * w;
+        }
+        acc
+    }
+
+    /// Finishes the Q value of node `v` from the shared prefix.
+    fn q_of(&self, prefix: f32, v: usize) -> f32 {
+        let tail = &self.theta5.data[self.pooled6.len()..];
+        let mut acc = prefix;
+        for (&c, &w) in self.cand7.row_slice(v).iter().zip(tail) {
+            acc += c.max(0.0) * w;
+        }
+        acc
+    }
+
+    /// Candidates: the untagged nodes, in increasing order.
+    fn candidates(&self) -> impl Iterator<Item = usize> + '_ {
+        self.emb
+            .tags()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t == 0.0)
+            .map(|(v, _)| v)
+    }
+
+    /// Q values of every untagged node, in increasing node order.
+    pub fn q_values_into(&mut self, out: &mut Vec<f32>) {
+        out.clear();
+        let prefix = self.state_prefix();
+        out.extend(self.candidates().map(|v| self.q_of(prefix, v)));
+    }
+
+    /// The untagged node with the largest Q value, the first one on ties
+    /// (as [`mcpb_rl::dqn::argmax`] breaks them), or `None` when every node
+    /// is tagged.
+    pub fn greedy_pick(&mut self) -> Option<NodeId> {
+        let prefix = self.state_prefix();
+        let mut candidates = self.candidates();
+        let first = candidates.next()?;
+        let mut best = (first, self.q_of(prefix, first));
+        for v in candidates {
+            let q = self.q_of(prefix, v);
+            if q > best.1 {
+                best = (v, q);
+            }
+        }
+        Some(best.0 as NodeId)
     }
 }
 
@@ -423,21 +571,8 @@ impl S2vDqn {
             return Vec::new();
         }
         let sg = S2vGraph::new(graph);
-        let mut tags = vec![0f32; n];
-        let mut seeds = Vec::with_capacity(k.min(n));
-        for _ in 0..k.min(n) {
-            let candidates: Vec<NodeId> = (0..n as NodeId)
-                .filter(|&v| tags[v as usize] == 0.0)
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let q = self.net.q_numbers(&self.online, &sg, &tags, &candidates);
-            let pick = candidates[mcpb_rl::dqn::argmax(&q)];
-            tags[pick as usize] = 1.0;
-            seeds.push(pick);
-        }
-        seeds
+        self.net
+            .greedy_rollout(&self.online, &sg, k.min(n), |_| 1.0)
     }
 }
 

@@ -12,24 +12,40 @@ pub fn adjacency(g: &Graph) -> SparseMatrix {
 
 /// Undirected neighbor-sum operator: `A[v][u] = 1` if `u` and `v` are
 /// connected in either direction. Used by Struc2Vec's neighbor pooling.
+///
+/// Each row is the sorted, deduplicated union of the node's out- and
+/// in-neighbors without the node itself. Both adjacencies of a [`Graph`] are
+/// sorted, so one merge per row builds it with no per-node buffer or sort.
 pub fn neighbor_sum(g: &Graph) -> SparseMatrix {
     let n = g.num_nodes();
-    let mut triplets: Vec<(u32, u32, f32)> = Vec::with_capacity(2 * g.num_edges());
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut indices: Vec<NodeId> = Vec::with_capacity(2 * g.num_edges());
+    offsets.push(0);
     for v in 0..n as NodeId {
-        let mut nbrs: Vec<NodeId> = g
-            .out_neighbors(v)
-            .iter()
-            .chain(g.in_neighbors(v))
-            .copied()
-            .filter(|&u| u != v)
-            .collect();
-        nbrs.sort_unstable();
-        nbrs.dedup();
-        for u in nbrs {
-            triplets.push((v, u, 1.0));
+        let (outs, ins) = (g.out_neighbors(v), g.in_neighbors(v));
+        let row_start = indices.len();
+        let (mut i, mut j) = (0, 0);
+        while i < outs.len() || j < ins.len() {
+            let u = if j == ins.len() || (i < outs.len() && outs[i] <= ins[j]) {
+                i += 1;
+                outs[i - 1]
+            } else {
+                j += 1;
+                ins[j - 1]
+            };
+            if u != v && indices[row_start..].last() != Some(&u) {
+                indices.push(u);
+            }
         }
+        offsets.push(indices.len());
     }
-    SparseMatrix::from_triplets(n, n, &triplets)
+    SparseMatrix {
+        rows: n,
+        cols: n,
+        offsets,
+        values: vec![1.0; indices.len()],
+        indices,
+    }
 }
 
 /// GCN-normalized adjacency with self-loops:
@@ -103,6 +119,31 @@ mod tests {
         let y = s.matmul_dense(&x);
         // node0 <- node1; node1 <- node0 + node2; node2 <- node1.
         assert_eq!(y.data, vec![10.0, 101.0, 10.0]);
+    }
+
+    #[test]
+    fn neighbor_sum_rows_are_the_sorted_undirected_neighborhoods() {
+        // Parallel edges, self-loops, both directions and an isolated node.
+        let mut edges = vec![Edge::new(3, 3, 1.0), Edge::new(5, 0, 1.0)];
+        for i in 0..40u32 {
+            edges.push(Edge::new((i * 7) % 6, (i * 11 + 3) % 6, 1.0));
+        }
+        let g = Graph::from_edges(7, &edges).unwrap();
+        let s = neighbor_sum(&g);
+        for v in 0..7u32 {
+            let mut want: Vec<u32> = g
+                .out_neighbors(v)
+                .iter()
+                .chain(g.in_neighbors(v))
+                .copied()
+                .filter(|&u| u != v)
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(s.row_indices(v as usize), want.as_slice(), "row {v}");
+        }
+        assert!(s.values.iter().all(|&x| x == 1.0));
+        assert_eq!(s.offsets.len(), 8);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod sage;
 pub use adjacency::{adjacency, gcn_normalized, in_edge_incidence, neighbor_sum};
 pub use deepwalk::{deepwalk_features, DeepWalkConfig};
 pub use gcn::{readout_mean, readout_sum, GcnEncoder, GcnLayer};
-pub use s2v::{S2v, S2vGraph};
+pub use s2v::{S2v, S2vGraph, S2vRollout};
 pub use sage::{mean_aggregator, SageEncoder, SageLayer};
 
 /// Convenient glob-import surface.
@@ -24,6 +24,6 @@ pub mod prelude {
     pub use crate::adjacency::{adjacency, gcn_normalized, in_edge_incidence, neighbor_sum};
     pub use crate::deepwalk::{deepwalk_features, DeepWalkConfig};
     pub use crate::gcn::{readout_mean, readout_sum, GcnEncoder, GcnLayer};
-    pub use crate::s2v::{S2v, S2vGraph};
+    pub use crate::s2v::{S2v, S2vGraph, S2vRollout};
     pub use crate::sage::{mean_aggregator, SageEncoder, SageLayer};
 }

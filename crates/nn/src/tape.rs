@@ -428,10 +428,14 @@ impl Tape {
         self.nodes[root.0].grad = Some(Tensor::scalar(1.0));
 
         for i in (0..=root.0).rev() {
-            let Some(g) = self.nodes[i].grad.clone() else {
+            // Take the grad and op out instead of cloning them; both go back
+            // once the node is processed (the match binds the op's `Arc`s by
+            // reference, so it stays whole). Operands always precede their
+            // node, so nothing below accumulates into node `i` itself.
+            let Some(g) = self.nodes[i].grad.take() else {
                 continue;
             };
-            let op = self.nodes[i].op.clone();
+            let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf { param: None });
             match op {
                 Op::Leaf { .. } => {}
                 Op::Add(a, b) => {
@@ -461,7 +465,7 @@ impl Tape {
                     self.accumulate(a, &da);
                     self.accumulate(b, &db);
                 }
-                Op::SpMM(adj, x) => {
+                Op::SpMM(ref adj, x) => {
                     let dx = adj.transpose_matmul_dense(&g);
                     self.accumulate(x, &dx);
                 }
@@ -519,7 +523,7 @@ impl Tape {
                     }
                     self.accumulate(bias, &db);
                 }
-                Op::GatherRows(a, rows) => {
+                Op::GatherRows(a, ref rows) => {
                     let src = &self.nodes[a.0].value;
                     let mut da = Tensor::zeros(src.rows, src.cols);
                     for (i_out, &r) in rows.iter().enumerate() {
@@ -568,7 +572,7 @@ impl Tape {
                     let da = Tensor::full(src.rows, src.cols, g.item());
                     self.accumulate(a, &da);
                 }
-                Op::Mse(a, target) => {
+                Op::Mse(a, ref target) => {
                     let pred = &self.nodes[a.0].value;
                     let n = pred.len().max(1) as f32;
                     let scale = 2.0 * g.item() / n;
@@ -581,7 +585,7 @@ impl Tape {
                     let da = Tensor::from_slice(pred.rows, pred.cols, &data);
                     self.accumulate(a, &da);
                 }
-                Op::Huber(a, target, delta) => {
+                Op::Huber(a, ref target, delta) => {
                     let pred = &self.nodes[a.0].value;
                     let n = pred.len().max(1) as f32;
                     let scale = g.item() / n;
@@ -603,6 +607,9 @@ impl Tape {
                     self.accumulate(a, &da);
                 }
             }
+            let node = &mut self.nodes[i];
+            node.op = op;
+            node.grad = Some(g);
         }
     }
 

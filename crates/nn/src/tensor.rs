@@ -236,6 +236,25 @@ impl Tensor {
         out
     }
 
+    /// One output row of [`Tensor::matmul`]: `out = x * self` for a row
+    /// vector `x` of length `self.rows`, written into `out` (`self.cols`
+    /// long).
+    ///
+    /// Bit-identical to the matching row of `matmul` with `x` as that row of
+    /// the left operand: every element starts at `0.0` and accumulates
+    /// `x[l] * self[l][j]` in increasing `l` as one left-associated chain.
+    /// Incremental inference uses it to recompute single rows of a product.
+    pub fn vecmat_into(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), self.rows, "vecmat shape mismatch");
+        assert_eq!(out.len(), self.cols, "vecmat output width mismatch");
+        out.fill(0.0);
+        for (l, &a) in x.iter().enumerate() {
+            for (o, &b) in out.iter_mut().zip(self.row_slice(l)) {
+                *o += a * b;
+            }
+        }
+    }
+
     /// Dense matrix product that skips zero elements of `self` — the
     /// explicit sparse entry point for *dense* operands known to be mostly
     /// zeros (e.g. one-hot rows or heavily masked activations). This is the
@@ -360,6 +379,26 @@ impl SparseMatrix {
             }
         }
         out
+    }
+
+    /// Row `r` of [`SparseMatrix::matmul_dense`], written into `out`
+    /// (`x.cols` long). Bit-identical to that row of the full product: it
+    /// sums the same terms from `0.0` in the same CSR order.
+    pub fn row_matmul_dense_into(&self, r: usize, x: &Tensor, out: &mut [f32]) {
+        assert_eq!(self.cols, x.rows, "spmm shape mismatch");
+        assert_eq!(out.len(), x.cols, "spmm output width mismatch");
+        out.fill(0.0);
+        for idx in self.offsets[r]..self.offsets[r + 1] {
+            let v = self.values[idx];
+            for (o, &xv) in out.iter_mut().zip(x.row_slice(self.indices[idx] as usize)) {
+                *o += v * xv;
+            }
+        }
+    }
+
+    /// Column indices of the non-zeros in row `r`, in CSR order.
+    pub fn row_indices(&self, r: usize) -> &[u32] {
+        &self.indices[self.offsets[r]..self.offsets[r + 1]]
     }
 
     /// `Y = self^T * X` for dense `X` (used in spmm backward).

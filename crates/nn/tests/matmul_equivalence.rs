@@ -11,7 +11,7 @@
 //! relu-masked inputs where the zero-skip actually used to fire.
 
 use mcpb_nn::reference::matmul_naive;
-use mcpb_nn::Tensor;
+use mcpb_nn::{SparseMatrix, Tensor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -99,5 +99,48 @@ fn special_values_propagate_identically() {
     let y = matmul_naive(&a, &b);
     for (u, v) in x.data.iter().zip(&y.data) {
         assert_eq!(u.to_bits(), v.to_bits(), "{u} vs {v}");
+    }
+}
+
+#[test]
+fn row_kernels_match_their_full_products() {
+    // `vecmat_into` and `row_matmul_dense_into` recompute single rows for
+    // incremental inference; each row must equal the full kernel's per bit.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x20F);
+    for &(m, k, n) in &[(1, 1, 1), (5, 3, 7), (9, 257, 4), (6, 16, 16), (3, 8, 0)] {
+        let a = Tensor::xavier(m, k, &mut rng);
+        let b = Tensor::xavier(k, n, &mut rng);
+        let full = a.matmul(&b);
+        let mut row = vec![0.0; n];
+        for i in 0..m {
+            b.vecmat_into(a.row_slice(i), &mut row);
+            assert_bit_identical(
+                &Tensor::row(&row),
+                &Tensor::row(full.row_slice(i)),
+                &format!("vecmat row {i} of {m}x{k}x{n}"),
+            );
+        }
+    }
+    // Duplicate entries and empty rows exercise the CSR summation order.
+    let triplets: Vec<(u32, u32, f32)> = (0..60)
+        .map(|_| {
+            (
+                rng.gen_range(0..12u32),
+                rng.gen_range(0..9u32),
+                rng.gen_range(-2.0f32..2.0),
+            )
+        })
+        .collect();
+    let s = SparseMatrix::from_triplets(14, 9, &triplets);
+    let x = Tensor::xavier(9, 6, &mut rng);
+    let full = s.matmul_dense(&x);
+    let mut row = vec![0.0; 6];
+    for r in 0..14 {
+        s.row_matmul_dense_into(r, &x, &mut row);
+        assert_bit_identical(
+            &Tensor::row(&row),
+            &Tensor::row(full.row_slice(r)),
+            &format!("spmm row {r}"),
+        );
     }
 }

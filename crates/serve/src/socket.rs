@@ -279,6 +279,9 @@ fn accept_loop(
         let accepted = match &listener {
             Listener::Tcp(l) => match l.accept() {
                 Ok((s, _)) => {
+                    // Responses are single small writes; Nagle would hold
+                    // each one until the previous segment is acknowledged.
+                    let _ = s.set_nodelay(true);
                     let _ = s.set_nonblocking(false);
                     let _ = s.set_read_timeout(Some(read_timeout));
                     let _ = s.set_write_timeout(Some(read_timeout));
@@ -350,7 +353,7 @@ fn handle_connection<S: ConnStream>(
         }
         if trimmed == "{\"op\":\"shutdown\"}" {
             shutdown.store(true, Ordering::SeqCst);
-            let _ = writeln!(reader.get_mut(), "{{\"ok\":\"draining\"}}");
+            let _ = write_line(reader.get_mut(), "{\"ok\":\"draining\"}".to_string());
             break;
         }
         counters.requests.fetch_add(1, Ordering::SeqCst);
@@ -374,10 +377,18 @@ fn handle_connection<S: ConnStream>(
                 "{\"verdict\":\"shed\",\"reason\":\"queue full\"}".to_string()
             }
         };
-        if writeln!(reader.get_mut(), "{body}").is_err() {
+        if write_line(reader.get_mut(), body).is_err() {
             break;
         }
     }
+}
+
+/// Writes `body` and its newline with one `write_all`. Two writes would
+/// send the newline in a second segment that, on a connection carrying
+/// back-to-back requests, waits for the client's delayed ACK.
+fn write_line(stream: &mut impl Write, mut body: String) -> std::io::Result<()> {
+    body.push('\n');
+    stream.write_all(body.as_bytes())
 }
 
 #[allow(clippy::too_many_arguments)]

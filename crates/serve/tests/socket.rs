@@ -111,3 +111,40 @@ fn unix_socket_serves_and_admin_shutdown_drains() {
     assert!(stats.drained_clean(), "{stats:?}");
     assert!(!sock.exists(), "socket file is removed on drain");
 }
+
+#[test]
+fn back_to_back_requests_on_one_tcp_connection_do_not_stall() {
+    // A response written in two pieces, or held back by Nagle, waits for
+    // the client's delayed ACK: about 40 ms per exchange on loopback.
+    let (state, pool) = small_preload();
+    let handle = serve_listener(state, pool, &SocketConfig::default()).expect("server binds");
+    let addr = handle
+        .endpoint()
+        .strip_prefix("tcp:")
+        .expect("tcp endpoint")
+        .to_string();
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).expect("client nodelay");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut resp = String::new();
+    let started = std::time::Instant::now();
+    for id in 0..20 {
+        let line = format!(
+            "{{\"id\":{id},\"task\":\"mcp\",\"dataset\":\"Damascus\",\"solver\":\"TopDegree\",\"budget\":3}}\n"
+        );
+        writer.write_all(line.as_bytes()).expect("request writes");
+        resp.clear();
+        reader.read_line(&mut resp).expect("response reads");
+        assert!(resp.contains("\"verdict\":\"served\""), "got {resp}");
+    }
+    let elapsed = started.elapsed();
+    drop(writer);
+    drop(reader);
+    let (_pool, stats) = handle.shutdown_and_join();
+    assert_eq!(stats.requests, 20);
+    assert!(
+        elapsed < std::time::Duration::from_millis(400),
+        "20 exchanges took {elapsed:?}"
+    );
+}
