@@ -65,6 +65,16 @@ impl<'g> RewardOracle<'g> {
         }
     }
 
+    /// Normalized objective of `seeds` on `graph`: the score every method's
+    /// `evaluate` and validation report.
+    pub fn score(graph: &'g Graph, task: Task, seed: u64, seeds: &[NodeId]) -> f64 {
+        let mut oracle = RewardOracle::new(graph, task, seed);
+        for &s in seeds {
+            oracle.add_seed(s);
+        }
+        oracle.total()
+    }
+
     /// Normalized marginal gain of adding `v` (no mutation).
     pub fn marginal_gain(&self, v: NodeId) -> f64 {
         match self {
@@ -216,133 +226,203 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// How [`RecoveryHarness::observe`] classified an episode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpisodeHealth {
-    /// Numerically sound — checkpoint/record as usual.
-    Healthy,
-    /// Divergence detected; parameters were rolled back and the learning
-    /// rate halved. Skip checkpointing this episode.
-    Recovered,
+/// Parameter hooks the [`Trainer`] needs from a method's learner: a
+/// rollback point, a restore (which also re-syncs any target network), and
+/// the learning-rate halving of a divergence recovery.
+pub(crate) trait Learner {
+    /// Clones the trained parameters.
+    fn snapshot(&self) -> Vec<mcpb_nn::Tensor>;
+    /// Loads parameters from a [`Learner::snapshot`].
+    fn restore(&mut self, snapshot: &[mcpb_nn::Tensor]);
+    /// Halves the learning rate and returns the new rate.
+    fn halve_lr(&mut self) -> f32;
 }
 
-/// Per-run divergence recovery shared by all five training loops.
+impl Learner for mcpb_rl::dqn::DqnAgent {
+    fn snapshot(&self) -> Vec<mcpb_nn::Tensor> {
+        mcpb_rl::dqn::DqnAgent::snapshot(self)
+    }
+
+    fn restore(&mut self, snapshot: &[mcpb_nn::Tensor]) {
+        mcpb_rl::dqn::DqnAgent::restore(self, snapshot);
+    }
+
+    fn halve_lr(&mut self) -> f32 {
+        self.scale_lr(0.5)
+    }
+}
+
+/// What one training episode reports back to the [`Trainer`].
+pub(crate) struct Episode {
+    /// Largest merged-gradient L2 norm of the episode's updates, for the
+    /// methods whose divergence guard watches it.
+    pub grad_norm: Option<f64>,
+    /// Exploration rate after the episode (telemetry only).
+    pub epsilon: f64,
+    /// Episode reward (telemetry only).
+    pub reward: f64,
+}
+
+/// The training protocol shared by all five methods: episodes, a
+/// divergence guard, validation every `validate_every` episodes (and after
+/// the last), and the [`TrainReport`].
 ///
-/// The harness owns the [`DivergenceGuard`] bookkeeping and the telemetry;
-/// the *mechanism* of rolling back (which parameter store, which optimizer)
-/// differs per solver and is supplied as a closure returning the new
-/// learning rate. It is also the loops' NaN fault-injection point: a
-/// `nan@train.<solver>` entry in `MCPB_FAULTS` poisons the observed loss,
-/// so the whole rollback path runs in CI.
-pub struct RecoveryHarness {
+/// [`Trainer::start`] opens the wall clock behind
+/// [`TrainReport::train_seconds`] and, when tracing is on, the root
+/// `train.<solver>` span, so a method calls it before its own preparation
+/// stages. [`Trainer::run`] then drives the episode loop. After each
+/// episode it checks the episode's mean loss (and gradient norm) with a
+/// [`mcpb_resilience::DivergenceGuard`]; `train.<solver>` is also the NaN
+/// fault-injection site. On divergence it restores the last good
+/// parameters, halves the learning rate, drops the episode's losses and
+/// moves on without telemetry or validation for that episode. Once the
+/// recovery budget is spent the loop ends with [`TrainError::Diverged`] in
+/// the report. Healthy episodes emit [`mcpb_trace::Event::EpisodeEnd`] and,
+/// on the cadence, record a [`Checkpoint`] whose loss is the mean of every
+/// update since the previous checkpoint.
+pub(crate) struct Trainer {
     solver: &'static str,
-    site: String,
-    guard: mcpb_resilience::DivergenceGuard,
-}
-
-impl RecoveryHarness {
-    /// A harness with the default thresholds and recovery budget.
-    pub fn new(solver: &'static str) -> Self {
-        Self::with_config(solver, mcpb_resilience::DivergenceConfig::default())
-    }
-
-    /// A harness with explicit thresholds/budget.
-    pub fn with_config(solver: &'static str, cfg: mcpb_resilience::DivergenceConfig) -> Self {
-        RecoveryHarness {
-            solver,
-            site: format!("train.{solver}"),
-            guard: mcpb_resilience::DivergenceGuard::new(cfg),
-        }
-    }
-
-    /// Recoveries performed so far (stored in [`TrainReport::recoveries`]).
-    pub fn recoveries(&self) -> u32 {
-        self.guard.recoveries()
-    }
-
-    /// Classifies one episode from its mean loss (and optional gradient
-    /// norm). On divergence, runs `rollback` — which must restore the last
-    /// good parameters, halve the learning rate, and return the new rate —
-    /// and emits a [`mcpb_trace::Event::Recovery`]. Returns the typed error
-    /// once the budget is spent.
-    pub fn observe(
-        &mut self,
-        episode: usize,
-        loss: f64,
-        grad_norm: Option<f64>,
-        rollback: impl FnOnce() -> f64,
-    ) -> Result<EpisodeHealth, TrainError> {
-        let loss = match mcpb_resilience::fault::arm(&self.site) {
-            Some(mcpb_resilience::FaultKind::Nan) => f64::NAN,
-            _ => loss,
-        };
-        match self.guard.observe(loss, grad_norm) {
-            mcpb_resilience::Verdict::Healthy => Ok(EpisodeHealth::Healthy),
-            mcpb_resilience::Verdict::Recover { .. } => {
-                let lr = rollback();
-                if mcpb_trace::is_enabled() {
-                    mcpb_trace::emit(mcpb_trace::Event::Recovery {
-                        solver: self.solver.to_string(),
-                        episode: episode as u64,
-                        loss,
-                        lr,
-                    });
-                    mcpb_trace::counter_add(&format!("train.recoveries/{}", self.solver), 1);
-                }
-                Ok(EpisodeHealth::Recovered)
-            }
-            mcpb_resilience::Verdict::Exhausted => Err(TrainError::Diverged {
-                solver: self.solver,
-                episode,
-                recoveries: self.guard.recoveries(),
-                loss,
-            }),
-        }
-    }
-}
-
-/// Shared instrumentation for every method's `train()`: the wall clock
-/// behind [`TrainReport::train_seconds`] (always running, whether or not
-/// the collector is enabled, so the reported seconds keep their historical
-/// meaning) plus — only when tracing is on — a root `train.<solver>` span
-/// and per-episode [`mcpb_trace::Event::EpisodeEnd`] telemetry.
-pub struct TrainScope {
-    solver: &'static str,
+    episodes: usize,
+    validate_every: usize,
+    keep_best: bool,
+    idle_loss: f64,
     watch: mcpb_trace::Stopwatch,
-    total_episodes: usize,
     _span: Option<mcpb_trace::Span>,
 }
 
-impl TrainScope {
-    /// Starts the training clock and, when tracing is enabled, opens the
-    /// root span that all nested spans (subgraph sampling, NN forward /
-    /// backward) aggregate under.
-    pub fn start(solver: &'static str) -> Self {
-        Self::start_with_total(solver, 0)
-    }
-
-    /// Like [`TrainScope::start`], but with the planned episode count so
-    /// [`TrainScope::episode_end`] can emit throughput/ETA heartbeats.
-    pub fn start_with_total(solver: &'static str, total_episodes: usize) -> Self {
-        let root = if mcpb_trace::is_enabled() {
-            Some(mcpb_trace::span_named(format!("train.{solver}")))
-        } else {
-            None
-        };
-        TrainScope {
+impl Trainer {
+    /// Starts the training clock and, when tracing is enabled, the root
+    /// span that nested spans (subgraph sampling, NN forward/backward)
+    /// aggregate under.
+    pub(crate) fn start(solver: &'static str, episodes: usize, validate_every: usize) -> Self {
+        let span =
+            mcpb_trace::is_enabled().then(|| mcpb_trace::span_named(format!("train.{solver}")));
+        Trainer {
             solver,
+            episodes,
+            validate_every,
+            keep_best: false,
+            idle_loss: 0.0,
             watch: mcpb_trace::Stopwatch::start(),
-            total_episodes,
-            _span: root,
+            _span: span,
         }
     }
 
-    /// Emits one `EpisodeEnd` event plus an episode-reward histogram
-    /// sample, and — when the scope knows its planned episode count —
-    /// `train.episodes_per_sec/<solver>` and `train.eta_secs/<solver>`
-    /// heartbeat metrics so a live `MCPB_TRACE` tail shows progress.
-    /// No-op (single atomic load) when tracing is disabled.
-    pub fn episode_end(&self, episode: usize, loss: f64, epsilon: f64, reward: f64) {
+    /// Keeps the best-validation parameters and loads them when the loop
+    /// ends (also after a divergence); otherwise the last parameters stay.
+    pub(crate) fn keep_best(mut self) -> Self {
+        self.keep_best = true;
+        self
+    }
+
+    /// Checkpoint loss when no update ran since the previous checkpoint
+    /// (0 by default).
+    pub(crate) fn idle_loss(mut self, loss: f64) -> Self {
+        self.idle_loss = loss;
+        self
+    }
+
+    /// Runs the episode loop. `episode(model, ep, losses)` plays episode
+    /// `ep` (0-based), pushes each update's loss, and returns `None` to skip
+    /// the episode entirely (e.g. a graph too small to play on).
+    /// `validate(model)` scores the current policy. `learner` projects the
+    /// model onto the parameters the guard rolls back.
+    pub(crate) fn run<M, L: Learner>(
+        self,
+        model: &mut M,
+        learner: fn(&mut M) -> &mut L,
+        mut episode: impl FnMut(&mut M, usize, &mut Vec<f32>) -> Option<Episode>,
+        mut validate: impl FnMut(&mut M) -> f64,
+    ) -> TrainReport {
+        let mut report = TrainReport::default();
+        let site = format!("train.{}", self.solver);
+        let mut guard =
+            mcpb_resilience::DivergenceGuard::new(mcpb_resilience::DivergenceConfig::default());
+        let mut epoch_losses: Vec<f32> = Vec::new();
+        let mut last_good = learner(model).snapshot();
+        let mut best_snapshot = self
+            .keep_best
+            .then(|| (f64::NEG_INFINITY, last_good.clone()));
+        for ep in 0..self.episodes {
+            let ep_loss_start = epoch_losses.len();
+            let Some(outcome) = episode(model, ep, &mut epoch_losses) else {
+                continue;
+            };
+            let loss = mean_f32(&epoch_losses[ep_loss_start..]);
+            let loss = match mcpb_resilience::fault::arm(&site) {
+                Some(mcpb_resilience::FaultKind::Nan) => f64::NAN,
+                _ => loss,
+            };
+            match guard.observe(loss, outcome.grad_norm) {
+                mcpb_resilience::Verdict::Healthy => last_good = learner(model).snapshot(),
+                mcpb_resilience::Verdict::Recover { .. } => {
+                    let l = learner(model);
+                    l.restore(&last_good);
+                    let lr = f64::from(l.halve_lr());
+                    self.recovery_event(ep + 1, loss, lr);
+                    epoch_losses.truncate(ep_loss_start);
+                    continue;
+                }
+                mcpb_resilience::Verdict::Exhausted => {
+                    report.error = Some(TrainError::Diverged {
+                        solver: self.solver,
+                        episode: ep + 1,
+                        recoveries: guard.recoveries(),
+                        loss,
+                    });
+                    break;
+                }
+            }
+            self.episode_event(ep + 1, loss, outcome.epsilon, outcome.reward);
+            if (ep + 1) % self.validate_every == 0 || ep + 1 == self.episodes {
+                let score = validate(model);
+                let loss = if epoch_losses.is_empty() {
+                    self.idle_loss
+                } else {
+                    epoch_losses.iter().sum::<f32>() as f64 / epoch_losses.len() as f64
+                };
+                epoch_losses.clear();
+                report.checkpoints.push(Checkpoint {
+                    epoch: ep + 1,
+                    validation_score: score,
+                    loss,
+                });
+                if let Some((best_score, snapshot)) = &mut best_snapshot {
+                    if score > *best_score {
+                        *best_score = score;
+                        *snapshot = learner(model).snapshot();
+                    }
+                }
+            }
+        }
+        if let Some((_, snapshot)) = &best_snapshot {
+            learner(model).restore(snapshot);
+        }
+        report.recoveries = guard.recoveries();
+        report.train_seconds = self.watch.elapsed_secs();
+        report
+    }
+
+    /// Emits a [`mcpb_trace::Event::Recovery`] and bumps the recovery
+    /// counter. No-op when tracing is disabled.
+    fn recovery_event(&self, episode: usize, loss: f64, lr: f64) {
+        if !mcpb_trace::is_enabled() {
+            return;
+        }
+        mcpb_trace::emit(mcpb_trace::Event::Recovery {
+            solver: self.solver.to_string(),
+            episode: episode as u64,
+            loss,
+            lr,
+        });
+        mcpb_trace::counter_add(&format!("train.recoveries/{}", self.solver), 1);
+    }
+
+    /// Emits one `EpisodeEnd` event, an episode-reward histogram sample and
+    /// the `train.episodes_per_sec/<solver>` and `train.eta_secs/<solver>`
+    /// heartbeats, so a live `MCPB_TRACE` tail shows progress. No-op
+    /// (single atomic load) when tracing is disabled.
+    fn episode_event(&self, episode: usize, loss: f64, epsilon: f64, reward: f64) {
         if !mcpb_trace::is_enabled() {
             return;
         }
@@ -355,24 +435,18 @@ impl TrainScope {
         });
         mcpb_trace::observe(&format!("train.episode_reward/{}", self.solver), reward);
         let elapsed = self.watch.elapsed_secs();
-        if self.total_episodes > 0 && elapsed > 0.0 {
+        if elapsed > 0.0 {
             let rate = episode as f64 / elapsed;
             mcpb_trace::emit(mcpb_trace::Event::Metric {
                 name: format!("train.episodes_per_sec/{}", self.solver),
                 value: rate,
             });
-            let remaining = self.total_episodes.saturating_sub(episode);
+            let remaining = self.episodes.saturating_sub(episode);
             mcpb_trace::emit(mcpb_trace::Event::Metric {
                 name: format!("train.eta_secs/{}", self.solver),
                 value: remaining as f64 / rate.max(f64::MIN_POSITIVE),
             });
         }
-    }
-
-    /// Seconds since [`TrainScope::start`] — the value every method stores
-    /// in [`TrainReport::train_seconds`].
-    pub fn elapsed_secs(&self) -> f64 {
-        self.watch.elapsed_secs()
     }
 }
 
@@ -398,20 +472,9 @@ impl TrainReport {
     }
 }
 
-/// L2 norm of a merged gradient set, fed to the [`RecoveryHarness`] as the
-/// explosion signal alongside the loss.
-pub fn grad_l2_norm(grads: &[(mcpb_nn::ParamId, mcpb_nn::Tensor)]) -> f64 {
-    grads
-        .iter()
-        .flat_map(|(_, g)| g.data.iter())
-        .map(|&x| f64::from(x) * f64::from(x))
-        .sum::<f64>()
-        .sqrt()
-}
-
-/// Mean of an `f32` loss slice as `f64` (0 when empty). Shared by the
-/// per-episode telemetry in every method's training loop.
-pub fn mean_f32(xs: &[f32]) -> f64 {
+/// Mean of an `f32` loss slice as `f64` (0 when empty): the per-episode
+/// loss the divergence guard and the telemetry see.
+fn mean_f32(xs: &[f32]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {

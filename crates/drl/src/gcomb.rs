@@ -15,10 +15,7 @@
 //! 3. **Q-learning** — a DQN over [gcn score, degree, remaining budget]
 //!    features picks seeds from the pruned candidate set.
 
-use crate::common::{
-    mean_f32, sample_training_subgraph, Checkpoint, EpisodeHealth, RecoveryHarness, RewardOracle,
-    Task, TrainReport, TrainScope,
-};
+use crate::common::{sample_training_subgraph, Episode, RewardOracle, Task, TrainReport, Trainer};
 use mcpb_gnn::adjacency::gcn_normalized;
 use mcpb_gnn::gcn::GcnEncoder;
 use mcpb_graph::{Graph, NodeId};
@@ -250,8 +247,7 @@ impl Gcomb {
 
     /// Full training pipeline: supervised GCN, noise predictor, Q-learning.
     pub fn train(&mut self, train_graph: &Graph) -> TrainReport {
-        let scope = TrainScope::start_with_total("GCOMB", self.cfg.rl_episodes);
-        let mut report = TrainReport::default();
+        let trainer = Trainer::start("GCOMB", self.cfg.rl_episodes, self.cfg.validate_every);
         let (tg, _) = sample_training_subgraph(
             train_graph,
             self.cfg.train_subgraph_nodes,
@@ -263,7 +259,7 @@ impl Gcomb {
             self.cfg.seed ^ 0x7a11,
         );
         if tg.num_nodes() < 4 {
-            return report;
+            return TrainReport::default();
         }
 
         // Stage 1: labels from probabilistic greedy.
@@ -340,17 +336,11 @@ impl Gcomb {
         let schedule = EpsilonSchedule::standard(self.cfg.rl_episodes * self.cfg.train_budget / 2);
         let mut replay: ReplayBuffer<Transition> = ReplayBuffer::new(2_000);
         let mut step_count = 0usize;
-        let mut best_snapshot_score = f64::NEG_INFINITY;
-        let mut epoch_losses = Vec::new();
-        let mut harness = RecoveryHarness::new("GCOMB");
-        let mut last_good = self.agent.snapshot();
-        for ep in 0..self.cfg.rl_episodes {
-            let ep_loss_start = epoch_losses.len();
-            let mut oracle =
-                RewardOracle::new(&tg, self.cfg.task, self.cfg.seed.wrapping_add(ep as u64));
-            let cands = self.noise.candidates(&tg, self.cfg.train_budget);
+        let episode = |m: &mut Self, ep: usize, losses: &mut Vec<f32>| {
+            let mut oracle = RewardOracle::new(&tg, m.cfg.task, m.cfg.seed.wrapping_add(ep as u64));
+            let cands = m.noise.candidates(&tg, m.cfg.train_budget);
             let mut picked = vec![false; n];
-            let budget = self.cfg.train_budget.min(cands.len());
+            let budget = m.cfg.train_budget.min(cands.len());
             for step in 0..budget {
                 let avail: Vec<NodeId> = cands
                     .iter()
@@ -366,7 +356,7 @@ impl Gcomb {
                     .map(|&v| Self::action_features(&tg, v, &scores, &oracle))
                     .collect();
                 let eps = schedule.value(step_count);
-                let idx = self.agent.select_action(&state, &actions, eps);
+                let idx = m.agent.select_action(&state, &actions, eps);
                 let v = avail[idx];
                 let reward = oracle.add_seed(v) as f32;
                 picked[v as usize] = true;
@@ -395,45 +385,22 @@ impl Gcomb {
                 });
                 step_count += 1;
                 if replay.len() >= 16 {
-                    let batch = replay.sample(16, &mut self.rng);
-                    epoch_losses.push(self.agent.train_batch(&batch));
+                    let batch = replay.sample(16, &mut m.rng);
+                    losses.push(m.agent.train_batch(&batch));
                 }
             }
-            let ep_loss = mean_f32(&epoch_losses[ep_loss_start..]);
-            match harness.observe(ep + 1, ep_loss, None, || {
-                self.agent.restore(&last_good);
-                f64::from(self.agent.scale_lr(0.5))
-            }) {
-                Ok(EpisodeHealth::Healthy) => last_good = self.agent.snapshot(),
-                Ok(EpisodeHealth::Recovered) => {
-                    epoch_losses.truncate(ep_loss_start);
-                    continue;
-                }
-                Err(e) => {
-                    report.error = Some(e);
-                    break;
-                }
-            }
-            scope.episode_end(ep + 1, ep_loss, schedule.value(step_count), oracle.total());
-            if (ep + 1) % self.cfg.validate_every == 0 || ep + 1 == self.cfg.rl_episodes {
-                let score = self.evaluate(&val_graph, self.cfg.train_budget);
-                let loss = if epoch_losses.is_empty() {
-                    sup_loss as f64
-                } else {
-                    epoch_losses.iter().sum::<f32>() as f64 / epoch_losses.len() as f64
-                };
-                epoch_losses.clear();
-                report.checkpoints.push(Checkpoint {
-                    epoch: ep + 1,
-                    validation_score: score,
-                    loss,
-                });
-                best_snapshot_score = best_snapshot_score.max(score);
-            }
-        }
-        report.recoveries = harness.recoveries();
-        report.train_seconds = scope.elapsed_secs();
-        report
+            Some(Episode {
+                grad_norm: None,
+                epsilon: schedule.value(step_count),
+                reward: oracle.total(),
+            })
+        };
+        let validate = |m: &mut Self| m.evaluate(&val_graph, m.cfg.train_budget);
+        // A checkpoint with no Q-learning update since the last one reports
+        // the supervised GCN loss.
+        trainer
+            .idle_loss(f64::from(sup_loss))
+            .run(self, |m| &mut m.agent, episode, validate)
     }
 
     fn action_features(
@@ -453,11 +420,7 @@ impl Gcomb {
     /// Normalized objective achieved by the greedy policy on `graph`.
     pub fn evaluate(&mut self, graph: &Graph, k: usize) -> f64 {
         let seeds = self.infer(graph, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
-        oracle.total()
+        RewardOracle::score(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1, &seeds)
     }
 
     /// Inference: prune with the noise predictor, score with the GCN, pick

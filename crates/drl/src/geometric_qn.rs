@@ -10,10 +10,7 @@
 //! starts randomly, which is exactly why the paper observes high variance
 //! (§4.3 repeats each query 20 times).
 
-use crate::common::{
-    mean_f32, Checkpoint, EpisodeHealth, RecoveryHarness, RewardOracle, Task, TrainReport,
-    TrainScope,
-};
+use crate::common::{Episode, RewardOracle, Task, TrainReport, Trainer};
 use mcpb_gnn::adjacency::gcn_normalized;
 use mcpb_gnn::deepwalk::{deepwalk_features, DeepWalkConfig};
 use mcpb_gnn::gcn::GcnEncoder;
@@ -218,37 +215,28 @@ impl GeometricQn {
     /// Trains on `graphs` (the small datasets of Fig. 7b), validating on
     /// the last.
     pub fn train(&mut self, graphs: &[Graph]) -> TrainReport {
-        let scope = TrainScope::start_with_total("Geometric-QN", self.cfg.episodes);
-        let mut report = TrainReport::default();
+        let trainer = Trainer::start("Geometric-QN", self.cfg.episodes, self.cfg.validate_every);
         if graphs.is_empty() {
-            return report;
+            return TrainReport::default();
         }
         let val_graph = &graphs[graphs.len() - 1];
         let schedule = EpsilonSchedule::standard(self.cfg.eps_decay_steps);
         let mut replay: ReplayBuffer<Transition> = ReplayBuffer::new(2_000);
         let mut step_base = 0usize;
-        let mut epoch_losses = Vec::new();
-        let mut harness = RecoveryHarness::new("Geometric-QN");
-        let mut last_good = self.agent.snapshot();
-
-        for ep in 0..self.cfg.episodes {
+        let episode = |m: &mut Self, ep: usize, losses: &mut Vec<f32>| {
             let g = &graphs[ep % graphs.len()];
             if g.num_nodes() < 4 {
-                continue;
+                return None;
             }
-            let ep_loss_start = epoch_losses.len();
-            let (discovered, trace) = self.explore(g, |s| schedule.value(s), step_base);
+            let (discovered, trace) = m.explore(g, |s| schedule.value(s), step_base);
             step_base += trace.len();
             // Terminal reward: normalized objective of the seeds found in
             // the discovered region (high-variance sparse signal, as in the
             // original).
-            let seeds = Self::select_from_discovered(g, &discovered, self.cfg.train_budget);
-            let mut oracle =
-                RewardOracle::new(g, self.cfg.task, self.cfg.seed.wrapping_add(ep as u64));
-            for &s in &seeds {
-                oracle.add_seed(s);
-            }
-            let final_reward = oracle.total() as f32;
+            let seeds = Self::select_from_discovered(g, &discovered, m.cfg.train_budget);
+            let final_reward =
+                RewardOracle::score(g, m.cfg.task, m.cfg.seed.wrapping_add(ep as u64), &seeds)
+                    as f32;
             for (i, (state, actions, idx)) in trace.iter().enumerate() {
                 let done = i + 1 == trace.len();
                 let (next_state, next_actions) = if done {
@@ -266,58 +254,23 @@ impl GeometricQn {
                 });
             }
             if replay.len() >= 8 {
-                let batch = replay.sample(8, &mut self.rng);
-                epoch_losses.push(self.agent.train_batch(&batch));
+                let batch = replay.sample(8, &mut m.rng);
+                losses.push(m.agent.train_batch(&batch));
             }
-            let ep_loss = mean_f32(&epoch_losses[ep_loss_start..]);
-            match harness.observe(ep + 1, ep_loss, None, || {
-                self.agent.restore(&last_good);
-                f64::from(self.agent.scale_lr(0.5))
-            }) {
-                Ok(EpisodeHealth::Healthy) => last_good = self.agent.snapshot(),
-                Ok(EpisodeHealth::Recovered) => {
-                    epoch_losses.truncate(ep_loss_start);
-                    continue;
-                }
-                Err(e) => {
-                    report.error = Some(e);
-                    break;
-                }
-            }
-            scope.episode_end(
-                ep + 1,
-                ep_loss,
-                schedule.value(step_base),
-                f64::from(final_reward),
-            );
-            if (ep + 1) % self.cfg.validate_every == 0 || ep + 1 == self.cfg.episodes {
-                let score = self.evaluate(val_graph, self.cfg.train_budget);
-                let loss = if epoch_losses.is_empty() {
-                    0.0
-                } else {
-                    epoch_losses.iter().sum::<f32>() as f64 / epoch_losses.len() as f64
-                };
-                epoch_losses.clear();
-                report.checkpoints.push(Checkpoint {
-                    epoch: ep + 1,
-                    validation_score: score,
-                    loss,
-                });
-            }
-        }
-        report.recoveries = harness.recoveries();
-        report.train_seconds = scope.elapsed_secs();
-        report
+            Some(Episode {
+                grad_norm: None,
+                epsilon: schedule.value(step_base),
+                reward: f64::from(final_reward),
+            })
+        };
+        let validate = |m: &mut Self| m.evaluate(val_graph, m.cfg.train_budget);
+        trainer.run(self, |m| &mut m.agent, episode, validate)
     }
 
     /// Normalized objective of one greedy query on `graph`.
     pub fn evaluate(&mut self, graph: &Graph, k: usize) -> f64 {
         let seeds = self.infer(graph, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
-        oracle.total()
+        RewardOracle::score(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1, &seeds)
     }
 
     /// One query: explore greedily (epsilon 0), then select seeds from the

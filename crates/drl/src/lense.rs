@@ -11,10 +11,7 @@
 //! the classical heuristic (Lazy Greedy for MCP, RIS greedy for IM — the
 //! Appendix C efficiency fix), which produces the final seed set.
 
-use crate::common::{
-    mean_f32, sample_training_subgraph, Checkpoint, EpisodeHealth, RecoveryHarness, RewardOracle,
-    Task, TrainReport, TrainScope,
-};
+use crate::common::{sample_training_subgraph, Episode, RewardOracle, Task, TrainReport, Trainer};
 use mcpb_gnn::adjacency::gcn_normalized;
 use mcpb_gnn::gcn::GcnEncoder;
 use mcpb_graph::{Graph, NodeId};
@@ -170,24 +167,20 @@ impl Lense {
     /// subgraph scored on the full graph, relative to `reference`.
     fn quality_ratio(&self, graph: &Graph, nodes: &[NodeId], k: usize, reference: f64) -> f64 {
         let seeds = self.heuristic_on_subgraph(graph, nodes, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0x9a11);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
+        let score = RewardOracle::score(graph, self.cfg.task, self.cfg.seed ^ 0x9a11, &seeds);
         if reference <= 0.0 {
             0.0
         } else {
-            (oracle.total() / reference).min(1.5)
+            (score / reference).min(1.5)
         }
     }
 
     /// Full training pipeline on `train_graph`.
     pub fn train(&mut self, train_graph: &Graph) -> TrainReport {
-        let scope = TrainScope::start_with_total("LeNSE", self.cfg.nav_episodes);
-        let mut report = TrainReport::default();
+        let trainer = Trainer::start("LeNSE", self.cfg.nav_episodes, self.cfg.validate_every);
         let n = train_graph.num_nodes();
         if n < self.cfg.subgraph_size {
-            return report;
+            return TrainReport::default();
         }
         // Reference solution quality on the full training graph.
         let reference = {
@@ -196,11 +189,7 @@ impl Lense {
                 &(0..n as NodeId).collect::<Vec<_>>(),
                 self.cfg.train_budget,
             );
-            let mut oracle = RewardOracle::new(train_graph, self.cfg.task, self.cfg.seed);
-            for s in seeds {
-                oracle.add_seed(s);
-            }
-            oracle.total()
+            RewardOracle::score(train_graph, self.cfg.task, self.cfg.seed, &seeds)
         };
 
         // Stage 1: labeled subgraphs -> encoder regression.
@@ -241,47 +230,37 @@ impl Lense {
         let schedule = EpsilonSchedule::standard(self.cfg.nav_episodes * self.cfg.nav_steps / 2);
         let mut replay: ReplayBuffer<Transition> = ReplayBuffer::new(1_000);
         let mut steps = 0usize;
-        let mut epoch_losses = Vec::new();
-        let mut harness = RecoveryHarness::new("LeNSE");
-        let mut last_good = self.agent.snapshot();
-        for ep in 0..self.cfg.nav_episodes {
-            let ep_loss_start = epoch_losses.len();
-            let (_, mut nodes) = {
-                let (sub, order) = sample_training_subgraph(
-                    train_graph,
-                    self.cfg.subgraph_size,
-                    self.cfg.seed.wrapping_add(1_000 + ep as u64 * 61),
-                );
-                (sub, order)
-            };
+        let episode = |m: &mut Self, ep: usize, losses: &mut Vec<f32>| {
+            let (_, mut nodes) = sample_training_subgraph(
+                train_graph,
+                m.cfg.subgraph_size,
+                m.cfg.seed.wrapping_add(1_000 + ep as u64 * 61),
+            );
             let mut quality = {
                 let (sub, _) = train_graph.induced_subgraph(&nodes);
-                self.predict_quality(&sub)
+                m.predict_quality(&sub)
             };
-            for step in 0..self.cfg.nav_steps {
+            for step in 0..m.cfg.nav_steps {
                 let Some((state, actions, frontier)) =
-                    self.navigation_actions(train_graph, &nodes, quality, step)
+                    m.navigation_actions(train_graph, &nodes, quality, step)
                 else {
                     break;
                 };
                 let eps = schedule.value(steps);
-                let idx = self.agent.select_action(&state, &actions, eps);
+                let idx = m.agent.select_action(&state, &actions, eps);
                 let new_nodes = Self::apply_swap(train_graph, &nodes, frontier[idx]);
                 let new_quality = {
                     let (sub, _) = train_graph.induced_subgraph(&new_nodes);
-                    self.predict_quality(&sub)
+                    m.predict_quality(&sub)
                 };
-                let done = step + 1 == self.cfg.nav_steps;
+                let done = step + 1 == m.cfg.nav_steps;
                 let mut reward = new_quality - quality;
                 if done {
-                    reward += self.quality_ratio(
-                        train_graph,
-                        &new_nodes,
-                        self.cfg.train_budget,
-                        reference,
-                    ) as f32;
+                    reward +=
+                        m.quality_ratio(train_graph, &new_nodes, m.cfg.train_budget, reference)
+                            as f32;
                 }
-                let next = self.navigation_actions(train_graph, &new_nodes, new_quality, step + 1);
+                let next = m.navigation_actions(train_graph, &new_nodes, new_quality, step + 1);
                 replay.push(Transition {
                     state,
                     action: actions[idx].clone(),
@@ -298,44 +277,18 @@ impl Lense {
                 quality = new_quality;
                 steps += 1;
                 if replay.len() >= 8 {
-                    let batch = replay.sample(8, &mut self.rng);
-                    epoch_losses.push(self.agent.train_batch(&batch));
+                    let batch = replay.sample(8, &mut m.rng);
+                    losses.push(m.agent.train_batch(&batch));
                 }
             }
-            let ep_loss = mean_f32(&epoch_losses[ep_loss_start..]);
-            match harness.observe(ep + 1, ep_loss, None, || {
-                self.agent.restore(&last_good);
-                f64::from(self.agent.scale_lr(0.5))
-            }) {
-                Ok(EpisodeHealth::Healthy) => last_good = self.agent.snapshot(),
-                Ok(EpisodeHealth::Recovered) => {
-                    epoch_losses.truncate(ep_loss_start);
-                    continue;
-                }
-                Err(e) => {
-                    report.error = Some(e);
-                    break;
-                }
-            }
-            scope.episode_end(ep + 1, ep_loss, schedule.value(steps), f64::from(quality));
-            if (ep + 1) % self.cfg.validate_every == 0 || ep + 1 == self.cfg.nav_episodes {
-                let score = self.evaluate(train_graph, self.cfg.train_budget);
-                let loss = if epoch_losses.is_empty() {
-                    0.0
-                } else {
-                    epoch_losses.iter().sum::<f32>() as f64 / epoch_losses.len() as f64
-                };
-                epoch_losses.clear();
-                report.checkpoints.push(Checkpoint {
-                    epoch: ep + 1,
-                    validation_score: score,
-                    loss,
-                });
-            }
-        }
-        report.recoveries = harness.recoveries();
-        report.train_seconds = scope.elapsed_secs();
-        report
+            Some(Episode {
+                grad_norm: None,
+                epsilon: schedule.value(steps),
+                reward: f64::from(quality),
+            })
+        };
+        let validate = |m: &mut Self| m.evaluate(train_graph, m.cfg.train_budget);
+        trainer.run(self, |m| &mut m.agent, episode, validate)
     }
 
     /// Builds navigation state/action features for the current subgraph.
@@ -400,11 +353,7 @@ impl Lense {
     /// Normalized objective of one query on `graph`.
     pub fn evaluate(&mut self, graph: &Graph, k: usize) -> f64 {
         let seeds = self.infer(graph, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
-        oracle.total()
+        RewardOracle::score(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1, &seeds)
     }
 
     /// One query: sample a starting subgraph, navigate, run the heuristic.

@@ -9,8 +9,7 @@
 //! the greedy policy on the full test graph.
 
 use crate::common::{
-    grad_l2_norm, mean_f32, sample_training_subgraph, Checkpoint, EpisodeHealth, RecoveryHarness,
-    RewardOracle, Task, TrainReport, TrainScope,
+    sample_training_subgraph, Episode, Learner, RewardOracle, Task, TrainReport, Trainer,
 };
 use mcpb_gnn::s2v::{S2v, S2vGraph, S2vRollout};
 use mcpb_graph::{Graph, NodeId};
@@ -245,6 +244,155 @@ impl S2vQRollout<'_> {
     }
 }
 
+/// One replay transition of [`S2vQCore`]: node tags before the action and
+/// the tags of the bootstrap state, on graph `graph_idx` of the caller's
+/// graph list.
+#[derive(Clone)]
+pub(crate) struct S2vTransition {
+    pub(crate) graph_idx: usize,
+    pub(crate) tags: Vec<f32>,
+    pub(crate) action: NodeId,
+    pub(crate) reward: f32,
+    pub(crate) next_tags: Vec<f32>,
+    pub(crate) done: bool,
+}
+
+/// The S2V Q-learning core shared by S2V-DQN and RL4IM: online and target
+/// [`S2vQNet`] parameters, Adam, and the RNG behind exploration and replay
+/// sampling. The methods differ only in how they play an episode, in the
+/// bootstrap discount they pass to [`S2vQCore::update`], and in the tag an
+/// inference pick receives.
+pub(crate) struct S2vQCore {
+    net: S2vQNet,
+    online: ParamStore,
+    target: ParamStore,
+    optimizer: Adam,
+    pub(crate) rng: ChaCha8Rng,
+}
+
+impl S2vQCore {
+    /// Registers the network under `name`; `seeds` seed the online store,
+    /// the target store and the RNG.
+    pub(crate) fn new(name: &str, dim: usize, rounds: usize, lr: f32, seeds: [u64; 3]) -> Self {
+        let mut online = ParamStore::new(seeds[0]);
+        let net = S2vQNet::new(&mut online, name, dim, rounds);
+        let mut target = ParamStore::new(seeds[1]);
+        let _ = S2vQNet::new(&mut target, name, dim, rounds);
+        target.copy_values_from(&online);
+        Self {
+            net,
+            online,
+            target,
+            optimizer: Adam::new(lr),
+            rng: ChaCha8Rng::seed_from_u64(seeds[2]),
+        }
+    }
+
+    /// Epsilon-greedy pick among the untagged nodes of `sg`, or `None` when
+    /// every node is tagged.
+    pub(crate) fn pick(&mut self, sg: &S2vGraph, tags: &[f32], eps: f64) -> Option<NodeId> {
+        let candidates: Vec<NodeId> = (0..sg.n as NodeId)
+            .filter(|&v| tags[v as usize] == 0.0)
+            .collect();
+        if candidates.is_empty() {
+            return None;
+        }
+        Some(if self.rng.gen::<f64>() < eps {
+            *candidates.choose(&mut self.rng).expect("non-empty")
+        } else {
+            let q = self.net.q_numbers(&self.online, sg, tags, &candidates);
+            candidates[mcpb_rl::dqn::argmax(&q)]
+        })
+    }
+
+    /// One Adam step over a replay batch of `batch_size` with the Huber TD
+    /// loss against `r + boot_gamma * max_a' Q_target(s', a')`, syncing the
+    /// target every `target_sync` steps. Returns the mean loss and the
+    /// merged-gradient L2 norm (the divergence guard's two signals).
+    pub(crate) fn update(
+        &mut self,
+        replay: &ReplayBuffer<S2vTransition>,
+        graphs: &[S2vGraph],
+        batch_size: usize,
+        target_sync: usize,
+        boot_gamma: f32,
+    ) -> (f32, f64) {
+        let batch = replay.sample(batch_size, &mut self.rng);
+        let mut all_grads = Vec::new();
+        let mut total_loss = 0.0f32;
+        for t in &batch {
+            let sg = &graphs[t.graph_idx];
+            let target_val = if t.done {
+                t.reward
+            } else {
+                let candidates: Vec<NodeId> = (0..sg.n as NodeId)
+                    .filter(|&v| t.next_tags[v as usize] == 0.0)
+                    .collect();
+                if candidates.is_empty() {
+                    t.reward
+                } else {
+                    let q = self
+                        .net
+                        .q_numbers(&self.target, sg, &t.next_tags, &candidates);
+                    t.reward + boot_gamma * q.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+                }
+            };
+            let mut tape = Tape::new();
+            let q = self
+                .net
+                .q_values(&mut tape, &self.online, sg, &t.tags, &[t.action]);
+            let loss = tape.huber_loss(q, Tensor::scalar(target_val), 1.0);
+            tape.backward(loss);
+            total_loss += tape.value(loss).item();
+            all_grads.extend(tape.param_grads());
+        }
+        let merged = merge_grads(all_grads);
+        let gnorm = merged
+            .iter()
+            .flat_map(|(_, g)| g.data.iter())
+            .map(|&x| f64::from(x) * f64::from(x))
+            .sum::<f64>()
+            .sqrt();
+        self.optimizer.step(&mut self.online, &merged);
+        if self.optimizer.t % target_sync as u64 == 0 {
+            self.target.copy_values_from(&self.online);
+        }
+        (total_loss / batch.len().max(1) as f32, gnorm)
+    }
+
+    /// Greedy policy rollout: `k` sequential argmax-Q selections, tagging
+    /// the `step`-th pick with `tag(step)`.
+    pub(crate) fn infer(
+        &self,
+        graph: &Graph,
+        k: usize,
+        tag: impl FnMut(usize) -> f32,
+    ) -> Vec<NodeId> {
+        let n = graph.num_nodes();
+        if n == 0 || k == 0 {
+            return Vec::new();
+        }
+        let sg = S2vGraph::new(graph);
+        self.net.greedy_rollout(&self.online, &sg, k.min(n), tag)
+    }
+}
+
+impl Learner for S2vQCore {
+    fn snapshot(&self) -> Vec<Tensor> {
+        self.online.snapshot()
+    }
+
+    fn restore(&mut self, snapshot: &[Tensor]) {
+        self.online.load_snapshot(snapshot);
+        self.target.copy_values_from(&self.online);
+    }
+
+    fn halve_lr(&mut self) -> f32 {
+        self.optimizer.lr *= 0.5;
+        self.optimizer.lr
+    }
+}
+
 /// S2V-DQN hyper-parameters, CPU-scaled from the paper's setup.
 #[derive(Debug, Clone, Copy)]
 pub struct S2vDqnConfig {
@@ -302,46 +450,18 @@ impl Default for S2vDqnConfig {
     }
 }
 
-#[derive(Clone)]
-struct EpisodeGraph {
-    graph: Graph,
-    sg: S2vGraph,
-}
-
-#[derive(Clone)]
-struct S2vTransition {
-    graph_idx: usize,
-    tags: Vec<f32>,
-    action: NodeId,
-    reward: f32,
-    next_tags: Vec<f32>,
-    done: bool,
-}
-
 /// The trained S2V-DQN model.
 pub struct S2vDqn {
     cfg: S2vDqnConfig,
-    online: ParamStore,
-    target: ParamStore,
-    net: S2vQNet,
-    optimizer: Adam,
-    rng: ChaCha8Rng,
+    core: S2vQCore,
 }
 
 impl S2vDqn {
     /// Creates an untrained model.
     pub fn new(cfg: S2vDqnConfig) -> Self {
-        let mut online = ParamStore::new(cfg.seed);
-        let net = S2vQNet::new(&mut online, "s2vdqn", cfg.embed_dim, cfg.rounds);
-        let mut target = ParamStore::new(cfg.seed ^ 0xbeef);
-        let _ = S2vQNet::new(&mut target, "s2vdqn", cfg.embed_dim, cfg.rounds);
-        target.copy_values_from(&online);
+        let seeds = [cfg.seed, cfg.seed ^ 0xbeef, cfg.seed ^ 0x51f7];
         Self {
-            rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x51f7),
-            optimizer: Adam::new(cfg.lr),
-            online,
-            target,
-            net,
+            core: S2vQCore::new("s2vdqn", cfg.embed_dim, cfg.rounds, cfg.lr, seeds),
             cfg,
         }
     }
@@ -355,8 +475,8 @@ impl S2vDqn {
     /// subgraph. Keeps the best-validation checkpoint (the paper's
     /// protocol, §4.1).
     pub fn train(&mut self, train_graph: &Graph) -> TrainReport {
-        let scope = TrainScope::start_with_total("S2V-DQN", self.cfg.episodes);
-        let mut report = TrainReport::default();
+        let trainer =
+            Trainer::start("S2V-DQN", self.cfg.episodes, self.cfg.validate_every).keep_best();
         let (val_graph, _) = sample_training_subgraph(
             train_graph,
             self.cfg.train_subgraph_nodes * 2,
@@ -364,76 +484,52 @@ impl S2vDqn {
         );
         let mut replay: ReplayBuffer<S2vTransition> = ReplayBuffer::new(self.cfg.replay_capacity);
         let schedule = EpsilonSchedule::standard(self.cfg.eps_decay_steps);
-        let mut graphs: Vec<EpisodeGraph> = Vec::new();
-        let mut best_snapshot = self.online.snapshot();
-        let mut best_score = f64::NEG_INFINITY;
+        // Every episode's graph stays addressable by the replay buffer.
+        let mut graphs: Vec<S2vGraph> = Vec::new();
         let mut global_step = 0usize;
-        let mut epoch_losses: Vec<f32> = Vec::new();
-        let mut harness = RecoveryHarness::new("S2V-DQN");
-        let mut last_good = self.online.snapshot();
-
-        for ep in 0..self.cfg.episodes {
-            // Fresh training subgraph per episode (recycled into the pool).
+        let episode = |m: &mut Self, ep: usize, losses: &mut Vec<f32>| {
+            let cfg = m.cfg;
+            // Fresh training subgraph per episode.
             let (g, _) = sample_training_subgraph(
                 train_graph,
-                self.cfg.train_subgraph_nodes,
-                self.cfg.seed.wrapping_add(ep as u64 * 131),
+                cfg.train_subgraph_nodes,
+                cfg.seed.wrapping_add(ep as u64 * 131),
             );
-            if g.num_nodes() < 2 {
-                continue;
+            let n = g.num_nodes();
+            if n < 2 {
+                return None;
             }
-            let ep_loss_start = epoch_losses.len();
-            let mut ep_grad_norm = 0f64;
-            let sg = S2vGraph::new(&g);
-            graphs.push(EpisodeGraph { graph: g, sg });
+            graphs.push(S2vGraph::new(&g));
             let gi = graphs.len() - 1;
-
-            let n = graphs[gi].graph.num_nodes();
-            let mut oracle = RewardOracle::new(
-                &graphs[gi].graph,
-                self.cfg.task,
-                self.cfg.seed.wrapping_add(ep as u64),
-            );
+            let mut oracle = RewardOracle::new(&g, cfg.task, cfg.seed.wrapping_add(ep as u64));
             let mut tags = vec![0f32; n];
-            let budget = self.cfg.train_budget.min(n);
+            let budget = cfg.train_budget.min(n);
             // Episode trace for n-step return construction.
             let mut trace: Vec<(Vec<f32>, NodeId, f32)> = Vec::with_capacity(budget);
-
-            for step in 0..budget {
-                let candidates: Vec<NodeId> = (0..n as NodeId)
-                    .filter(|&v| tags[v as usize] == 0.0)
-                    .collect();
-                if candidates.is_empty() {
-                    break;
-                }
+            for _ in 0..budget {
                 let eps = schedule.value(global_step);
-                let action = if self.rng.gen::<f64>() < eps {
-                    *candidates.choose(&mut self.rng).expect("non-empty")
-                } else {
-                    let q = self
-                        .net
-                        .q_numbers(&self.online, &graphs[gi].sg, &tags, &candidates);
-                    candidates[mcpb_rl::dqn::argmax(&q)]
+                let Some(action) = m.core.pick(&graphs[gi], &tags, eps) else {
+                    break;
                 };
                 let reward = oracle.add_seed(action) as f32;
                 trace.push((tags.clone(), action, reward));
-                let mut next_tags = tags.clone();
-                next_tags[action as usize] = 1.0;
-                tags = next_tags;
+                tags[action as usize] = 1.0;
                 global_step += 1;
-                let _ = step;
             }
 
             // Build n-step transitions: R = sum_{j<h} gamma^j r_{i+j}, with
             // the bootstrap state h steps ahead (the original's n-step
-            // Q-learning; n_step = 1 recovers plain TD).
-            let nstep = self.cfg.n_step.max(1);
+            // Q-learning; n_step = 1 recovers plain TD). The bootstrap is
+            // discounted by gamma^n, as R already is the n-step return.
+            let nstep = cfg.n_step.max(1);
+            let boot_gamma = cfg.gamma.powi(nstep as i32);
             let len = trace.len();
+            let mut grad_norm = 0f64;
             for i in 0..len {
                 let horizon = (i + nstep).min(len);
                 let mut ret = 0f32;
                 for (j, item) in trace[i..horizon].iter().enumerate() {
-                    ret += self.cfg.gamma.powi(j as i32) * item.2;
+                    ret += cfg.gamma.powi(j as i32) * item.2;
                 }
                 // Tags after `horizon` actions: start state i plus the
                 // actions taken in between.
@@ -449,130 +545,42 @@ impl S2vDqn {
                     next_tags: boot_tags,
                     done: horizon == len,
                 });
-                if replay.len() >= self.cfg.batch_size {
-                    let (loss, gnorm) = self.update(&replay, &graphs);
-                    epoch_losses.push(loss);
-                    ep_grad_norm = ep_grad_norm.max(gnorm);
+                if replay.len() >= cfg.batch_size {
+                    let (loss, gnorm) = m.core.update(
+                        &replay,
+                        &graphs,
+                        cfg.batch_size,
+                        cfg.target_sync,
+                        boot_gamma,
+                    );
+                    losses.push(loss);
+                    grad_norm = grad_norm.max(gnorm);
                 }
             }
-
-            let ep_loss = mean_f32(&epoch_losses[ep_loss_start..]);
-            match harness.observe(ep + 1, ep_loss, Some(ep_grad_norm), || {
-                self.online.load_snapshot(&last_good);
-                self.target.copy_values_from(&self.online);
-                self.optimizer.lr *= 0.5;
-                f64::from(self.optimizer.lr)
-            }) {
-                Ok(EpisodeHealth::Healthy) => last_good = self.online.snapshot(),
-                Ok(EpisodeHealth::Recovered) => {
-                    // Drop the poisoned losses so the next checkpoint's mean
-                    // stays finite, and skip checkpointing this episode.
-                    epoch_losses.truncate(ep_loss_start);
-                    continue;
-                }
-                Err(e) => {
-                    report.error = Some(e);
-                    break;
-                }
-            }
-
-            scope.episode_end(ep + 1, ep_loss, schedule.value(global_step), oracle.total());
-
-            if (ep + 1) % self.cfg.validate_every == 0 || ep + 1 == self.cfg.episodes {
-                let score = self.evaluate(&val_graph, self.cfg.train_budget);
-                let loss = if epoch_losses.is_empty() {
-                    0.0
-                } else {
-                    epoch_losses.iter().sum::<f32>() as f64 / epoch_losses.len() as f64
-                };
-                epoch_losses.clear();
-                report.checkpoints.push(Checkpoint {
-                    epoch: ep + 1,
-                    validation_score: score,
-                    loss,
-                });
-                if score > best_score {
-                    best_score = score;
-                    best_snapshot = self.online.snapshot();
-                }
-            }
-        }
-        self.online.load_snapshot(&best_snapshot);
-        self.target.copy_values_from(&self.online);
-        report.recoveries = harness.recoveries();
-        report.train_seconds = scope.elapsed_secs();
-        report
-    }
-
-    /// One optimizer step over a replay batch; returns the mean loss and
-    /// the merged-gradient L2 norm (the divergence guard's two signals).
-    fn update(
-        &mut self,
-        replay: &ReplayBuffer<S2vTransition>,
-        graphs: &[EpisodeGraph],
-    ) -> (f32, f64) {
-        let batch = replay.sample(self.cfg.batch_size, &mut self.rng);
-        let mut all_grads = Vec::new();
-        let mut total_loss = 0.0f32;
-        for t in &batch {
-            let eg = &graphs[t.graph_idx];
-            // Target: r + gamma * max_a' Q_target(s', a').
-            // Bootstrap discounted by gamma^n (the transition's reward is
-            // already the n-step return).
-            let boot_gamma = self.cfg.gamma.powi(self.cfg.n_step.max(1) as i32);
-            let target_val = if t.done {
-                t.reward
-            } else {
-                let candidates: Vec<NodeId> = (0..eg.graph.num_nodes() as NodeId)
-                    .filter(|&v| t.next_tags[v as usize] == 0.0)
-                    .collect();
-                if candidates.is_empty() {
-                    t.reward
-                } else {
-                    let q = self
-                        .net
-                        .q_numbers(&self.target, &eg.sg, &t.next_tags, &candidates);
-                    t.reward + boot_gamma * q.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-                }
-            };
-            let mut tape = Tape::new();
-            let q = self
-                .net
-                .q_values(&mut tape, &self.online, &eg.sg, &t.tags, &[t.action]);
-            let loss = tape.huber_loss(q, Tensor::scalar(target_val), 1.0);
-            tape.backward(loss);
-            total_loss += tape.value(loss).item();
-            all_grads.extend(tape.param_grads());
-        }
-        let merged = merge_grads(all_grads);
-        let gnorm = grad_l2_norm(&merged);
-        self.optimizer.step(&mut self.online, &merged);
-        if self.optimizer.t % self.cfg.target_sync as u64 == 0 {
-            self.target.copy_values_from(&self.online);
-        }
-        (total_loss / batch.len().max(1) as f32, gnorm)
+            Some(Episode {
+                grad_norm: Some(grad_norm),
+                epsilon: schedule.value(global_step),
+                reward: oracle.total(),
+            })
+        };
+        let validate = |m: &mut Self| m.evaluate(&val_graph, m.cfg.train_budget);
+        trainer.run(self, |m| &mut m.core, episode, validate)
     }
 
     /// Greedy rollout value on `graph` with budget `k` (normalized
     /// objective).
     pub fn evaluate(&self, graph: &Graph, k: usize) -> f64 {
-        let seeds = self.infer(graph, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
-        oracle.total()
+        RewardOracle::score(
+            graph,
+            self.cfg.task,
+            self.cfg.seed ^ 0xe7a1,
+            &self.infer(graph, k),
+        )
     }
 
     /// Greedy policy rollout: k sequential argmax-Q selections.
     pub fn infer(&self, graph: &Graph, k: usize) -> Vec<NodeId> {
-        let n = graph.num_nodes();
-        if n == 0 || k == 0 {
-            return Vec::new();
-        }
-        let sg = S2vGraph::new(graph);
-        self.net
-            .greedy_rollout(&self.online, &sg, k.min(n), |_| 1.0)
+        self.core.infer(graph, k, |_| 1.0)
     }
 }
 

@@ -3,7 +3,7 @@
 //! Edge weights of the input graph are interpreted as influence
 //! probabilities. Spread estimation by plain MC is #P-hard to do exactly, so
 //! [`influence_mc`] averages many simulated diffusions (parallelized with
-//! rayon); the RIS machinery in [`crate::rrset`] is the scalable estimator.
+//! `mcpb-par`); the RIS machinery in [`crate::rrset`] is the scalable estimator.
 
 use crate::scratch::CascadeScratch;
 use mcpb_graph::{CsrView, NodeId};

@@ -3,9 +3,10 @@
 //! sets in the same order, same index rows, same greedy selections, and
 //! `f64::to_bits`-identical spread estimates — at 1, 2, and 8 threads.
 //!
-//! The references parallelize over rayon's global pool while the optimized
-//! paths go through `mcpb-par`, so agreement across thread overrides also
-//! re-checks that neither schedule leaks into a result.
+//! The references fan out per item or per fixed 64-item chunk while the
+//! optimized paths use cost-scaled shards, all on `mcpb-par`, so agreement
+//! across thread overrides also re-checks that neither schedule leaks into
+//! a result.
 
 use mcpb_graph::generators::barabasi_albert;
 use mcpb_graph::weights::{assign_weights, WeightModel};

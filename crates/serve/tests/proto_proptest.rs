@@ -101,3 +101,23 @@ fn nesting_bomb_is_screened_not_overflowed() {
     assert_total(bomb.as_bytes());
     assert!(parse_request(&bomb).is_err());
 }
+
+#[test]
+fn unpaired_high_surrogates_are_typed_errors() {
+    // A high surrogate followed by an escape outside `\uDC00`-`\uDFFF`
+    // once overflowed in debug builds and decoded to a wrong character in
+    // release builds.
+    for dataset in [r"\ud800\u0041", r"\ud800\ue000"] {
+        let line = format!(
+            "{{\"id\":1,\"task\":\"mcp\",\"dataset\":\"{dataset}\",\"solver\":\"TopDegree\",\"budget\":5}}"
+        );
+        assert_total(line.as_bytes());
+        assert!(
+            matches!(
+                parse_request(&line),
+                Err(mcpb_serve::proto::ParseError::Json(_))
+            ),
+            "{dataset} must be rejected"
+        );
+    }
+}

@@ -242,12 +242,18 @@ impl<'a> Parser<'a> {
                             self.pos += 1;
                             let hi = self.parse_hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
+                                // Surrogate pair: the high half must be
+                                // followed by a `\u` low half.
                                 self.expect(b'\\')?;
                                 self.expect(b'u')?;
                                 let lo = self.parse_hex4()?;
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(Error::msg(format!(
+                                        "high surrogate \\u{hi:04x} followed by \\u{lo:04x}, \
+                                         not a low surrogate"
+                                    )));
+                                }
+                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(code)
                                     .ok_or_else(|| Error::msg("invalid surrogate pair"))?
                             } else {
@@ -400,6 +406,14 @@ mod tests {
         assert!(from_str::<Value>("[1, 2,]").is_err());
         assert!(from_str::<Value>("1 2").is_err());
         assert!(from_str::<Value>("nul").is_err());
+        // A high surrogate must pair with a low one.
+        assert!(from_str::<Value>(r#""\ud800\u0041""#).is_err());
+        assert!(from_str::<Value>(r#""\ud800\ue000""#).is_err());
+        assert!(from_str::<Value>(r#""\ud800x""#).is_err());
+        assert_eq!(
+            from_str::<Value>(r#""\ud801\udc00""#).unwrap(),
+            Value::String("\u{10400}".to_string())
+        );
     }
 
     #[test]
