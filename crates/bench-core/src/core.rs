@@ -1,5 +1,3 @@
-//! # mcpb-core
-//!
 //! Top-level orchestration API: describe a benchmark declaratively
 //! ([`BenchmarkSpec`]), run it ([`run_benchmark`]), and get back a
 //! [`BenchmarkReport`] with raw records, rendered tables, and the §6
@@ -7,7 +5,7 @@
 //! (Fig. 2).
 //!
 //! ```
-//! use mcpb_core::{BenchmarkSpec, Problem, run_benchmark};
+//! use mcpb_bench::core::{BenchmarkSpec, Problem, run_benchmark};
 //! use mcpb_bench::registry::McpMethodKind;
 //!
 //! let mut spec = BenchmarkSpec::quick_mcp(&["Damascus"], &[3]);
@@ -16,13 +14,11 @@
 //! assert!(!report.records.is_empty());
 //! ```
 
-#![warn(missing_docs)]
-
-use mcpb_bench::experiments::ExpConfig;
-use mcpb_bench::rating::RatingRow;
-use mcpb_bench::registry::{ImMethodKind, McpMethodKind, Scale};
-use mcpb_bench::results::Table;
-use mcpb_bench::sweep::{run_im_sweep, run_mcp_sweep, SweepRecord};
+use crate::experiments::ExpConfig;
+use crate::rating::RatingRow;
+use crate::registry::{ImMethodKind, McpMethodKind, Scale};
+use crate::results::Table;
+use crate::sweep::{run_im_sweep, run_mcp_sweep, SweepRecord};
 use mcpb_graph::catalog;
 use mcpb_graph::weights::WeightModel;
 use serde::{Deserialize, Serialize};
@@ -107,7 +103,8 @@ pub struct BenchmarkReport {
 impl BenchmarkReport {
     /// Serializes the raw records as JSON.
     pub fn records_json(&self) -> String {
-        serde_json::to_string_pretty(&self.records).expect("records serialize")
+        // The shim's writer never fails.
+        serde_json::to_string_pretty(&self.records).unwrap_or_default()
     }
 }
 
@@ -162,9 +159,9 @@ pub fn run_benchmark(spec: &BenchmarkSpec) -> BenchmarkReport {
         Problem::Mcp => ("MCP quality", "MCP runtime"),
         Problem::Im => ("IM influence", "IM runtime"),
     };
-    let quality_table = mcpb_bench::experiments::curves::render_quality("Benchmark", qid, &records);
-    let runtime_table = mcpb_bench::experiments::curves::render_runtime("Benchmark", rid, &records);
-    let rating = mcpb_bench::experiments::overview::rating_from_records(&records);
+    let quality_table = crate::experiments::curves::render_quality("Benchmark", qid, &records);
+    let runtime_table = crate::experiments::curves::render_runtime("Benchmark", rid, &records);
+    let rating = crate::experiments::overview::rating_from_records(&records);
 
     BenchmarkReport {
         records,
@@ -217,5 +214,15 @@ mod tests {
         let back: BenchmarkSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back.datasets, spec.datasets);
         assert_eq!(back.problem, Problem::Im);
+    }
+
+    #[test]
+    fn spec_round_trips_a_seed_past_2_pow_53() {
+        let mut spec = BenchmarkSpec::quick_mcp(&["Damascus"], &[5]);
+        spec.seed = (1 << 63) + 1;
+        let json = serde_json::to_string(&spec).unwrap();
+        assert!(json.contains("\"seed\":9223372036854775809"), "{json}");
+        let back: BenchmarkSpec = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.seed, spec.seed);
     }
 }

@@ -15,6 +15,7 @@
 
 pub mod agreement;
 pub mod alloc;
+pub mod core;
 pub mod experiments;
 pub mod instrument;
 pub mod perf;

@@ -783,4 +783,59 @@ mod tests {
         assert!(matches!(err, JournalError::ConfigMismatch { .. }));
         std::fs::remove_file(&path).ok();
     }
+
+    #[test]
+    fn over_deep_payload_on_resume_reruns_the_cell() {
+        let dir = std::env::temp_dir().join("mcpb-sweep-deep-payload-test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("mcp.jsonl");
+        let ds = [tiny_dataset()];
+        let train = mcpb_graph::generators::barabasi_albert(150, 3, 0);
+        let methods = [McpMethodKind::LazyGreedy, McpMethodKind::TopDegree];
+        let opts = SweepOptions {
+            journal: Some(path.clone()),
+            ..SweepOptions::default()
+        };
+        let first = run_mcp_sweep_resilient(&methods, &ds, &[3, 6], &train, Scale::Quick, 1, &opts)
+            .expect("journaled run");
+        let text = std::fs::read_to_string(&path).expect("journal");
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        // A completed entry whose payload nests a million levels deep.
+        let bomb = format!("{}{}", "[".repeat(1_000_000), "]".repeat(1_000_000));
+        let last = lines.last_mut().expect("entries");
+        let at = last.find(",\"payload\":").expect("payload field");
+        last.replace_range(at.., &format!(",\"payload\":{bomb}}}"));
+        std::fs::write(&path, lines.join("\n") + "\n").expect("rewrite");
+
+        let opts = SweepOptions {
+            resume: Some(path.clone()),
+            ..SweepOptions::default()
+        };
+        let second =
+            run_mcp_sweep_resilient(&methods, &ds, &[3, 6], &train, Scale::Quick, 1, &opts)
+                .expect("resume reruns the cell instead of aborting");
+        assert_eq!(second.resumed, 3);
+        // Only the rerun cell's wall-clock time may differ.
+        let untimed = |records: &[SweepRecord]| {
+            let mut records = records.to_vec();
+            records.iter_mut().for_each(|r| r.runtime = 0.0);
+            records
+        };
+        assert_eq!(untimed(&second.records), untimed(&first.records));
+
+        // The same entry in the middle of a journal is corruption: a typed
+        // error, not an abort.
+        let text = std::fs::read_to_string(&path).expect("journal");
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let at = lines[1].find(",\"payload\":").expect("payload field");
+        lines[1].replace_range(at.., &format!(",\"payload\":{bomb}}}"));
+        std::fs::write(&path, lines.join("\n") + "\n").expect("rewrite");
+        let err = run_mcp_sweep_resilient(&methods, &ds, &[3, 6], &train, Scale::Quick, 1, &opts)
+            .expect_err("interior corruption is rejected");
+        assert!(
+            matches!(err, JournalError::Malformed { line: 2, .. }),
+            "{err:?}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }

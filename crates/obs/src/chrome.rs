@@ -66,8 +66,7 @@ pub fn render_chrome(model: &RunModel) -> String {
 /// Validates that `json` parses as a JSON array (the exporter's
 /// self-check, also run by `scripts/check.sh`). Returns the event count.
 pub fn validate_chrome(json: &str) -> Result<usize, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(json).map_err(|e| format!("chrome export is not JSON: {e}"))?;
+    let v = mcpb_json::parse(json).map_err(|e| format!("chrome export is not JSON: {e}"))?;
     let arr = v
         .as_array()
         .ok_or_else(|| "chrome export is not a JSON array".to_string())?;
@@ -86,7 +85,7 @@ fn parent_of(path: &str) -> Option<&str> {
 }
 
 fn trace_event(span: &crate::model::SpanAgg, start_nanos: u64) -> String {
-    use serde_json::Value;
+    use mcpb_json::Value;
     let name = span.path.rsplit('/').next().unwrap_or(&span.path);
     let obj = Value::Object(vec![
         ("name".to_string(), Value::String(name.to_string())),
@@ -115,7 +114,7 @@ fn trace_event(span: &crate::model::SpanAgg, start_nanos: u64) -> String {
             ]),
         ),
     ]);
-    serde_json::to_string(&obj).unwrap_or_else(|_| "{}".to_string())
+    mcpb_json::to_string(&obj)
 }
 
 #[cfg(test)]

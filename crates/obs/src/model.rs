@@ -167,10 +167,15 @@ impl RunModel {
         if first.trim_start().starts_with("{\"journal\":") {
             return RunModel::from_journal_text(label, text);
         }
-        if let Ok(v) = serde_json::from_str::<serde_json::Value>(text) {
-            if v.get("schema").and_then(|s| s.as_str()) == Some("mcpb-perf/1") {
+        match mcpb_json::parse(text) {
+            Ok(v) if v.get("schema").and_then(|s| s.as_str()) == Some("mcpb-perf/1") => {
                 return RunModel::from_bench_value(label, &v);
             }
+            // Nesting past the limit is no trace, journal or bench record.
+            Err(e @ mcpb_json::Error::TooDeep { .. }) => {
+                return Err(ObsError::new(format!("{label}: {e}")));
+            }
+            _ => {}
         }
         RunModel::from_trace_jsonl(label, text)
     }
@@ -344,7 +349,7 @@ impl RunModel {
 
     /// Ingests a `mcpb-perf/1` bench record: each bench becomes a
     /// `bench/<id>` pseudo-span whose self/total time is the median sample.
-    pub fn from_bench_value(label: &str, v: &serde_json::Value) -> Result<RunModel, ObsError> {
+    pub fn from_bench_value(label: &str, v: &mcpb_json::Value) -> Result<RunModel, ObsError> {
         let mut model = RunModel {
             label: label.to_string(),
             kind: Some(RunKind::Bench),
@@ -420,6 +425,13 @@ fn secs_to_nanos(secs: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_bomb_is_a_typed_error() {
+        let bomb = "[".repeat(1_000_000);
+        let err = RunModel::from_text("bomb", &bomb).expect_err("must not parse");
+        assert!(err.to_string().contains("nesting depth 33"), "{err}");
+    }
 
     #[test]
     fn trace_summary_rows_are_authoritative() {

@@ -14,11 +14,14 @@
 //! suffix before appending so a resumed journal never embeds interior
 //! garbage.
 //!
-//! The codec is hand-rolled (this crate is dependency-free) and the field
-//! order is fixed. `payload` is deliberately the *last* field: the parser
-//! slices the raw remainder of the line, so payloads can be arbitrary JSON
-//! produced by a richer serializer upstream.
+//! The field order is fixed, and fields are written and decoded with the
+//! `mcpb-json` scalar writers and parser. `payload` is deliberately the
+//! *last* field: the parser keeps the raw remainder of the line, so payloads
+//! can be arbitrary JSON produced by a richer serializer upstream. A
+//! payload is still parsed once, so a truncated or over-deep one makes its
+//! line unparseable.
 
+use mcpb_json::Value;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
@@ -133,33 +136,15 @@ impl std::error::Error for JournalError {}
 
 // -- encoding -------------------------------------------------------------
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl JournalHeader {
     /// Encodes the header as one JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut s = String::from("{\"journal\":\"mcpb-sweep\",\"version\":1,\"seed\":");
-        s.push_str(&self.seed.to_string());
-        s.push_str(",\"config_hash\":\"");
-        s.push_str(&format!("{:016x}", self.config_hash));
-        s.push_str("\",\"label\":");
-        push_json_string(&mut s, &self.label);
+        mcpb_json::write_u64(&mut s, self.seed);
+        s.push_str(",\"config_hash\":");
+        mcpb_json::write_str(&mut s, &format!("{:016x}", self.config_hash));
+        s.push_str(",\"label\":");
+        mcpb_json::write_str(&mut s, &self.label);
         s.push('}');
         s
     }
@@ -169,27 +154,20 @@ impl JournalEntry {
     /// Encodes the entry as one JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut s = String::from("{\"cell\":");
-        push_json_string(&mut s, &self.cell);
-        s.push_str(",\"status\":\"");
-        s.push_str(self.status.as_str());
-        s.push_str("\",\"attempts\":");
-        s.push_str(&self.attempts.to_string());
+        mcpb_json::write_str(&mut s, &self.cell);
+        s.push_str(",\"status\":");
+        mcpb_json::write_str(&mut s, self.status.as_str());
+        s.push_str(",\"attempts\":");
+        mcpb_json::write_u64(&mut s, u64::from(self.attempts));
         s.push_str(",\"elapsed_secs\":");
-        if self.elapsed_secs.is_finite() {
-            s.push_str(&format!("{}", self.elapsed_secs));
-        } else {
-            s.push_str("null");
-        }
+        mcpb_json::write_f64(&mut s, self.elapsed_secs);
         s.push_str(",\"error\":");
         match &self.error {
-            Some(e) => push_json_string(&mut s, e),
+            Some(e) => mcpb_json::write_str(&mut s, e),
             None => s.push_str("null"),
         }
         s.push_str(",\"payload\":");
-        match &self.payload {
-            Some(p) => s.push_str(p),
-            None => s.push_str("null"),
-        }
+        s.push_str(self.payload.as_deref().unwrap_or("null"));
         s.push('}');
         s
     }
@@ -202,64 +180,40 @@ fn expect_lit<'a>(rest: &'a str, lit: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("expected `{lit}` at `{}`", truncate(rest)))
 }
 
+/// The first 24 chars of `s`, for error messages.
 fn truncate(s: &str) -> &str {
-    &s[..s.len().min(24)]
+    s.char_indices().nth(24).map_or(s, |(i, _)| &s[..i])
 }
 
-fn parse_string(rest: &str) -> Result<(String, &str), String> {
-    let rest = expect_lit(rest, "\"")?;
-    let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &rest[i + 1..])),
-            '\\' => match chars.next().map(|(_, e)| e) {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('b') => out.push('\u{8}'),
-                Some('f') => out.push('\u{c}'),
-                Some('u') => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let (_, h) = chars.next().ok_or("truncated \\u escape")?;
-                        code = code * 16 + h.to_digit(16).ok_or("bad \\u escape")?;
-                    }
-                    out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
+/// Decodes the JSON value at the start of `rest`; returns it with the rest.
+fn field(rest: &str) -> Result<(Value, &str), String> {
+    mcpb_json::parse_prefix(rest).map_err(|e| e.to_string())
 }
 
-/// Parses digits/number chars up to the next `,` or `}`.
-fn parse_number(rest: &str) -> Result<(&str, &str), String> {
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated number at `{}`", truncate(rest)))?;
-    let (num, tail) = rest.split_at(end);
-    if num.is_empty() {
-        return Err("empty number".to_string());
+fn string_field(rest: &str) -> Result<(String, &str), String> {
+    match field(rest)? {
+        (Value::String(s), rest) => Ok((s, rest)),
+        (other, _) => Err(format!("expected a string, found {other:?}")),
     }
-    Ok((num, tail))
+}
+
+fn u64_field<'a>(rest: &'a str, name: &str) -> Result<(u64, &'a str), String> {
+    let (v, rest) = field(rest)?;
+    let n = v
+        .as_u64()
+        .ok_or_else(|| format!("{name} is not a non-negative integer"))?;
+    Ok((n, rest))
 }
 
 fn parse_header_line(line: &str) -> Result<JournalHeader, String> {
     let rest = expect_lit(line, "{\"journal\":\"mcpb-sweep\",\"version\":1,\"seed\":")?;
-    let (seed_s, rest) = parse_number(rest)?;
-    let seed: u64 = seed_s.parse().map_err(|_| "seed is not a u64")?;
+    let (seed, rest) = u64_field(rest, "seed")?;
     let rest = expect_lit(rest, ",\"config_hash\":")?;
-    let (hash_s, rest) = parse_string(rest)?;
+    let (hash_s, rest) = string_field(rest)?;
     let config_hash =
         u64::from_str_radix(&hash_s, 16).map_err(|_| "config_hash is not hex".to_string())?;
     let rest = expect_lit(rest, ",\"label\":")?;
-    let (label, rest) = parse_string(rest)?;
+    let (label, rest) = string_field(rest)?;
     if rest != "}" {
         return Err(format!("trailing data after header: `{}`", truncate(rest)));
     }
@@ -272,45 +226,38 @@ fn parse_header_line(line: &str) -> Result<JournalHeader, String> {
 
 fn parse_entry_line(line: &str) -> Result<JournalEntry, String> {
     let rest = expect_lit(line, "{\"cell\":")?;
-    let (cell, rest) = parse_string(rest)?;
+    let (cell, rest) = string_field(rest)?;
     let rest = expect_lit(rest, ",\"status\":")?;
-    let (status_s, rest) = parse_string(rest)?;
+    let (status_s, rest) = string_field(rest)?;
     let status = match status_s.as_str() {
         "completed" => EntryStatus::Completed,
         "failed" => EntryStatus::Failed,
         other => return Err(format!("unknown status `{other}`")),
     };
     let rest = expect_lit(rest, ",\"attempts\":")?;
-    let (attempts_s, rest) = parse_number(rest)?;
-    let attempts: u32 = attempts_s.parse().map_err(|_| "attempts is not a u32")?;
+    let (attempts, rest) = u64_field(rest, "attempts")?;
+    let attempts = u32::try_from(attempts).map_err(|_| "attempts is not a u32")?;
     let rest = expect_lit(rest, ",\"elapsed_secs\":")?;
-    let (elapsed_s, rest) = parse_number(rest)?;
-    let elapsed_secs: f64 = if elapsed_s == "null" {
-        f64::NAN
-    } else {
-        elapsed_s
-            .parse()
-            .map_err(|_| "elapsed_secs is not a float")?
+    let (elapsed_secs, rest) = match field(rest)? {
+        (Value::Null, rest) => (f64::NAN, rest),
+        (v, rest) => (v.as_f64().ok_or("elapsed_secs is not a float")?, rest),
     };
     let rest = expect_lit(rest, ",\"error\":")?;
-    let (error, rest) = if let Some(tail) = rest.strip_prefix("null") {
-        (None, tail)
-    } else {
-        let (e, tail) = parse_string(rest)?;
-        (Some(e), tail)
+    let (error, rest) = match field(rest)? {
+        (Value::Null, rest) => (None, rest),
+        (Value::String(e), rest) => (Some(e), rest),
+        (other, _) => return Err(format!("error is not a string: {other:?}")),
     };
     let rest = expect_lit(rest, ",\"payload\":")?;
     let body = rest
         .strip_suffix('}')
         .ok_or_else(|| "line does not end with `}`".to_string())?;
-    let payload = if body == "null" {
-        None
-    } else if body.is_empty() {
-        return Err("empty payload".to_string());
-    } else if !payload_is_balanced(body) {
-        return Err("payload is truncated or unbalanced".to_string());
-    } else {
-        Some(body.to_string())
+    // Parsing the payload tells a stored one from one cut short by a crash
+    // mid-append; the raw text is what the entry keeps.
+    let payload = match mcpb_json::parse(body) {
+        Ok(Value::Null) => None,
+        Ok(_) => Some(body.to_string()),
+        Err(e) => return Err(format!("payload is not valid JSON: {e}")),
     };
     Ok(JournalEntry {
         cell,
@@ -320,30 +267,6 @@ fn parse_entry_line(line: &str) -> Result<JournalEntry, String> {
         error,
         payload,
     })
-}
-
-/// True when every brace/bracket outside string literals is balanced — the
-/// cheap structural check that distinguishes a stored payload from one cut
-/// short by a crash mid-append.
-fn payload_is_balanced(p: &str) -> bool {
-    let (mut depth, mut in_str, mut esc) = (0i32, false, false);
-    for c in p.chars() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '{' | '[' if !in_str => depth += 1,
-            '}' | ']' if !in_str => depth -= 1,
-            _ => {}
-        }
-        if depth < 0 {
-            return false;
-        }
-    }
-    depth == 0 && !in_str
 }
 
 /// Parses journal text. Any maximal run of unparseable lines at the *end*
@@ -501,8 +424,8 @@ const TIMING_KEYS: [&str; 3] = ["runtime", "peak_bytes", "elapsed_secs"];
 /// in these fields, so comparing normalized payloads checks bit-identity
 /// of the actual results while tolerating timing noise.
 ///
-/// Hand-rolled (this crate is dependency-free): the scanner walks string
-/// literals with escape tracking, and only a literal that is immediately
+/// A byte scanner, not a parse, so every other byte stays as it was: it
+/// walks string literals with escape tracking, and only a literal that is immediately
 /// followed by `:` and a non-structural value (not a string, object, or
 /// array) triggers a replacement — a *value* that happens to equal a
 /// timing key is never touched.
@@ -800,6 +723,81 @@ mod tests {
         assert!(matches!(
             parse_journal(&text),
             Err(JournalError::Malformed { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_halves_are_typed_errors() {
+        let mut text = header().to_line().replace("mcp-quick", r"run \ud83d\ude00");
+        text.push('\n');
+        let line = entry("a", false).to_line();
+        text.push_str(&line.replace("panicked", r"\ud83d\ude00"));
+        text.push('\n');
+        let j = parse_journal(&text).expect("surrogate pairs parse");
+        assert_eq!(j.header.label, "run \u{1F600}");
+        assert!(j.entries[0]
+            .error
+            .as_deref()
+            .is_some_and(|e| e.starts_with('\u{1F600}')));
+        for half in [r"\ud83d", r"\ude00", r"\ud83d\u0041"] {
+            let bad_header = header().to_line().replace("mcp-quick", half);
+            assert_eq!(parse_journal(&bad_header), Err(JournalError::MissingHeader));
+            let mut text = header().to_line();
+            text.push('\n');
+            text.push_str(&entry(half, true).to_line().replace(r"\\", r"\"));
+            text.push('\n');
+            text.push_str(&entry("good", true).to_line());
+            assert!(
+                matches!(
+                    parse_journal(&text),
+                    Err(JournalError::Malformed { line: 2, .. })
+                ),
+                "{half}"
+            );
+        }
+    }
+
+    #[test]
+    fn multibyte_garbage_is_a_typed_error() {
+        // The error message quotes the start of the line; cutting it at a
+        // byte offset inside `é` once panicked.
+        let mut text = header().to_line();
+        text.push('\n');
+        text.push_str(&format!("x{}\n", "é".repeat(20)));
+        text.push_str(&entry("good", true).to_line());
+        assert!(matches!(
+            parse_journal(&text),
+            Err(JournalError::Malformed { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn header_seed_is_exact_past_2_pow_53() {
+        let h = JournalHeader {
+            seed: (1 << 63) + 1,
+            ..header()
+        };
+        assert!(h.to_line().contains("\"seed\":9223372036854775809,"));
+        assert_eq!(parse_journal(&h.to_line()).expect("parses").header, h);
+    }
+
+    #[test]
+    fn over_deep_payload_makes_its_line_unparseable() {
+        let mut deep = entry("deep", true);
+        deep.payload = Some(format!("{}{}", "[".repeat(33), "]".repeat(33)));
+        let mut text = header().to_line();
+        text.push('\n');
+        text.push_str(&entry("a", true).to_line());
+        text.push('\n');
+        text.push_str(&deep.to_line());
+        text.push('\n');
+        let j = parse_journal(&text).expect("a bad final line is a torn tail");
+        assert_eq!(j.entries.len(), 1);
+        assert_eq!(j.torn_lines, 1);
+        text.push_str(&entry("b", true).to_line());
+        assert!(matches!(
+            parse_journal(&text),
+            Err(JournalError::Malformed { line: 3, .. })
         ));
     }
 

@@ -3,9 +3,9 @@
 //! The sweep grid and the five DRL training loops are long-running,
 //! failure-prone computations: a single panicking solver, one NaN-diverging
 //! episode, or a killed process should cost one cell — not the whole run.
-//! This crate supplies the four mechanisms the harness builds on, with **no
-//! dependencies** (not even the workspace shims) so it can sit below every
-//! other crate:
+//! This crate supplies the four mechanisms the harness builds on. It
+//! depends only on the zero-dependency `mcpb-json` codec (not even on the
+//! workspace shims), so it can sit below every other crate:
 //!
 //! - [`cell`]: run a unit of work under `catch_unwind` with a soft
 //!   wall-clock deadline and a retry-with-backoff policy, producing a typed

@@ -3,10 +3,9 @@
 //! One request per line, one response per request — always. The parser is
 //! total: any byte sequence (malformed JSON, truncated lines, non-UTF-8
 //! garbage) maps to a typed [`ParseError`], never a panic, so a misbehaving
-//! client costs the server exactly one typed error response. Incoming lines
-//! are depth-screened before they reach the recursive JSON parser, which
-//! turns a nesting bomb into [`ParseError::TooDeep`] instead of a stack
-//! overflow.
+//! client costs the server exactly one typed error response. The
+//! `mcpb-json` parser stops at [`MAX_JSON_DEPTH`], which turns a nesting
+//! bomb into [`ParseError::TooDeep`] instead of a stack overflow.
 //!
 //! Responses are journaled through `mcpb-resilience`: a response log *is* a
 //! sweep journal (header + one entry per request, `payload` last), so
@@ -15,17 +14,16 @@
 //! (`runtime`, `elapsed_secs`) so [`mcpb_resilience::normalize_timing`]
 //! zeroes them during comparisons.
 
-use serde::Value;
+use mcpb_json::Value;
 
 /// Hard cap on the per-request seed budget `k`.
 pub const MAX_BUDGET: usize = 64;
 /// Hard cap on one request line, in bytes (defensive: a line longer than
 /// this is rejected before any parsing work happens).
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
-/// Maximum JSON nesting depth accepted on the wire. The in-repo JSON
-/// parser is recursive; screening depth first keeps hostile nesting from
-/// reaching it.
-pub const MAX_JSON_DEPTH: usize = 32;
+/// Maximum JSON nesting depth accepted on the wire: the `mcpb-json`
+/// parser's limit.
+pub const MAX_JSON_DEPTH: usize = mcpb_json::MAX_DEPTH;
 
 /// Which problem a request asks about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,32 +128,6 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Screens raw text for JSON nesting depth, string-aware. Returns the
-/// first depth past [`MAX_JSON_DEPTH`], or `None` when the text is safe to
-/// hand to the recursive parser.
-fn excessive_depth(text: &str) -> Option<usize> {
-    let (mut depth, mut in_str, mut esc) = (0usize, false, false);
-    for c in text.chars() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '{' | '[' if !in_str => {
-                depth += 1;
-                if depth > MAX_JSON_DEPTH {
-                    return Some(depth);
-                }
-            }
-            '}' | ']' if !in_str => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-    }
-    None
-}
-
 fn get_u64(obj: &Value, field: &'static str) -> Result<Option<u64>, ParseError> {
     match obj.get(field) {
         None | Some(Value::Null) => Ok(None),
@@ -198,10 +170,10 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
     if line.len() > MAX_LINE_BYTES {
         return Err(ParseError::TooLong { len: line.len() });
     }
-    if let Some(depth) = excessive_depth(line) {
-        return Err(ParseError::TooDeep { depth });
-    }
-    let value: Value = serde_json::from_str(line).map_err(|e| ParseError::Json(e.to_string()))?;
+    let value = mcpb_json::parse(line).map_err(|e| match e {
+        mcpb_json::Error::TooDeep { depth } => ParseError::TooDeep { depth },
+        mcpb_json::Error::Syntax(detail) => ParseError::Json(detail),
+    })?;
     if value.as_object().is_none() {
         return Err(ParseError::NotObject);
     }
@@ -293,22 +265,6 @@ pub struct Response {
     pub runtime_secs: f64,
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl Response {
     /// Stable journal cell key for the response at `seq`.
     pub fn cell_key(seq: usize) -> String {
@@ -318,42 +274,36 @@ impl Response {
     /// Renders the response body as one JSON object. `runtime` is the
     /// canonical timing key, so journal diffs normalize it away.
     pub fn body_json(&self) -> String {
+        let write_opt_str = |s: &mut String, v: &Option<String>| match v {
+            Some(v) => mcpb_json::write_str(s, v),
+            None => s.push_str("null"),
+        };
         let mut s = String::from("{\"id\":");
         match self.id {
-            Some(id) => s.push_str(&id.to_string()),
+            Some(id) => mcpb_json::write_u64(&mut s, id),
             None => s.push_str("null"),
         }
-        s.push_str(",\"verdict\":\"");
-        s.push_str(self.verdict.as_str());
-        s.push_str("\",\"solver\":");
-        push_json_string(&mut s, &self.solver);
+        s.push_str(",\"verdict\":");
+        mcpb_json::write_str(&mut s, self.verdict.as_str());
+        s.push_str(",\"solver\":");
+        mcpb_json::write_str(&mut s, &self.solver);
         s.push_str(",\"served_by\":");
-        match &self.served_by {
-            Some(name) => push_json_string(&mut s, name),
-            None => s.push_str("null"),
-        }
+        write_opt_str(&mut s, &self.served_by);
         s.push_str(",\"budget\":");
-        s.push_str(&self.budget.to_string());
+        mcpb_json::write_u64(&mut s, self.budget as u64);
         s.push_str(",\"seeds\":[");
-        for (i, seed) in self.seeds.iter().enumerate() {
+        for (i, &seed) in self.seeds.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&seed.to_string());
+            mcpb_json::write_u64(&mut s, u64::from(seed));
         }
         s.push_str("],\"quality\":");
-        if self.quality.is_finite() {
-            s.push_str(&format!("{}", self.quality));
-        } else {
-            s.push_str("null");
-        }
+        mcpb_json::write_f64(&mut s, self.quality);
         s.push_str(",\"reason\":");
-        match &self.reason {
-            Some(r) => push_json_string(&mut s, r),
-            None => s.push_str("null"),
-        }
+        write_opt_str(&mut s, &self.reason);
         s.push_str(",\"runtime\":");
-        s.push_str(&format!("{}", self.runtime_secs));
+        mcpb_json::write_f64(&mut s, self.runtime_secs);
         s.push('}');
         s
     }

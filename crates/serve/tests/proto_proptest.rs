@@ -121,3 +121,38 @@ fn unpaired_high_surrogates_are_typed_errors() {
         );
     }
 }
+
+#[test]
+fn request_ids_are_exact_u64_values() {
+    let line = |id: &str| {
+        format!("{{\"id\":{id},\"task\":\"mcp\",\"dataset\":\"Damascus\",\"solver\":\"TopDegree\",\"budget\":5}}")
+    };
+    for id in [9_007_199_254_740_993u64, (1 << 63) + 1, u64::MAX] {
+        let req = parse_request(&line(&id.to_string())).expect("exact id parses");
+        assert_eq!(req.id, id);
+        // The response echoes the same digits.
+        let resp = mcpb_serve::proto::Response {
+            seq: 1,
+            id: Some(req.id),
+            verdict: mcpb_serve::proto::Verdict::Served,
+            solver: req.solver,
+            served_by: None,
+            budget: req.budget,
+            seeds: Vec::new(),
+            quality: 0.0,
+            reason: None,
+            attempts: 1,
+            runtime_secs: 0.0,
+        };
+        assert!(resp.body_json().starts_with(&format!("{{\"id\":{id},")));
+    }
+    for id in ["1e300", "1.5", "18446744073709551616", "-1"] {
+        assert!(
+            matches!(
+                parse_request(&line(id)),
+                Err(mcpb_serve::proto::ParseError::BadField { field: "id", .. })
+            ),
+            "id {id} must be rejected"
+        );
+    }
+}

@@ -2,11 +2,14 @@
 //!
 //! Events are flat records; each serializes to exactly one JSON object per
 //! line with a `type` discriminator, so a `MCPB_TRACE=file.jsonl` capture
-//! is greppable and trivially machine-readable. The codec is hand-rolled
-//! (this crate is zero-dependency): [`Event::to_json`] emits one line,
-//! [`Event::from_json`] parses one back, and the round trip is exact for
-//! finite floats (Rust's shortest-round-trip `Display`). Non-finite floats
-//! serialize as `null` and parse back as NaN, mirroring `serde_json`.
+//! is greppable and trivially machine-readable. [`Event::to_json`] writes
+//! the fields one by one with the `mcpb-json` scalar writers, and
+//! [`Event::from_json`] reads a line back through the `mcpb-json` parser.
+//! The round trip is exact for finite floats (Rust's shortest-round-trip
+//! `Display`) and for every `u64`. Non-finite floats serialize as `null` and
+//! parse back as NaN, mirroring `serde_json`.
+
+use mcpb_json::Value;
 
 /// One structured telemetry record.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,7 +247,7 @@ impl Event {
 
     /// Parses one JSON line produced by [`Event::to_json`].
     pub fn from_json(line: &str) -> Result<Event, ParseError> {
-        let fields = parse_flat_object(line)?;
+        let fields = mcpb_json::parse(line).map_err(|e| ParseError::new(e.to_string()))?;
         let kind = get_str(&fields, "type")?;
         match kind.as_str() {
             "episode_end" => Ok(Event::EpisodeEnd {
@@ -336,288 +339,60 @@ fn push_key(out: &mut String, key: &str) {
     if !out.ends_with('{') {
         out.push(',');
     }
-    push_json_string(out, key);
+    mcpb_json::write_str(out, key);
     out.push(':');
 }
 
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     push_key(out, key);
-    push_json_string(out, value);
+    mcpb_json::write_str(out, value);
 }
 
 fn push_u64_field(out: &mut String, key: &str, value: u64) {
     push_key(out, key);
-    let _ = std::fmt::Write::write_fmt(out, format_args!("{value}"));
+    mcpb_json::write_u64(out, value);
 }
 
 fn push_f64_field(out: &mut String, key: &str, value: f64) {
     push_key(out, key);
-    if value.is_finite() {
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{value}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", u32::from(c)));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    mcpb_json::write_f64(out, value);
 }
 
 // ---- decoding helpers -------------------------------------------------
 
-/// A parsed scalar field value. Plain non-negative integer literals keep
-/// their exact `u64` value (`Int`): routing them through `f64` would
-/// silently round counters and nanosecond totals above 2^53.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Str(String),
-    Num(f64),
-    Int(u64),
-    Null,
-    Bool(bool),
+fn lookup<'v>(fields: &'v Value, key: &str) -> Result<&'v Value, ParseError> {
+    fields
+        .get(key)
+        .ok_or_else(|| ParseError::new(format!("missing field {key:?}")))
 }
 
-fn get_str(fields: &[(String, Scalar)], key: &str) -> Result<String, ParseError> {
+fn get_str(fields: &Value, key: &str) -> Result<String, ParseError> {
     match lookup(fields, key)? {
-        Scalar::Str(s) => Ok(s.clone()),
+        Value::String(s) => Ok(s.clone()),
         other => Err(ParseError::new(format!(
             "field {key:?}: expected string, found {other:?}"
         ))),
     }
 }
 
-fn get_f64(fields: &[(String, Scalar)], key: &str) -> Result<f64, ParseError> {
+fn get_f64(fields: &Value, key: &str) -> Result<f64, ParseError> {
     match lookup(fields, key)? {
-        Scalar::Num(n) => Ok(*n),
-        Scalar::Int(n) => Ok(*n as f64),
-        Scalar::Null => Ok(f64::NAN),
-        other => Err(ParseError::new(format!(
-            "field {key:?}: expected number, found {other:?}"
-        ))),
+        Value::Null => Ok(f64::NAN),
+        other => other.as_f64().ok_or_else(|| {
+            ParseError::new(format!("field {key:?}: expected number, found {other:?}"))
+        }),
     }
 }
 
-fn get_u64(fields: &[(String, Scalar)], key: &str) -> Result<u64, ParseError> {
-    match lookup(fields, key)? {
-        Scalar::Int(n) => Ok(*n),
-        // Scientific/decimal spellings of an integer are accepted only while
-        // exactly representable; beyond 2^53 the value would be a rounded
-        // guess, which for a counter is corruption.
-        Scalar::Num(n) if *n >= 0.0 && n.fract() <= f64::EPSILON && *n <= (1u64 << 53) as f64 => {
-            Ok(*n as u64)
-        }
-        other => Err(ParseError::new(format!(
-            "field {key:?}: expected non-negative integer, found {other:?}"
-        ))),
-    }
-}
-
-fn lookup<'f>(fields: &'f [(String, Scalar)], key: &str) -> Result<&'f Scalar, ParseError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| ParseError::new(format!("missing field {key:?}")))
-}
-
-/// Parses a single flat JSON object of scalar fields.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, ParseError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect_byte(b'{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect_byte(b':')?;
-            p.skip_ws();
-            let value = p.parse_scalar()?;
-            fields.push((key, value));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => {
-                    return Err(ParseError::new(format!(
-                        "expected ',' or '}}', found {other:?} at byte {}",
-                        p.pos
-                    )))
-                }
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(ParseError::new(format!(
-            "trailing characters at byte {}",
-            p.pos
-        )));
-    }
-    Ok(fields)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, want: u8) -> Result<(), ParseError> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(ParseError::new(format!(
-                "expected {:?}, found {other:?} at byte {}",
-                want as char, self.pos
-            ))),
-        }
-    }
-
-    fn parse_scalar(&mut self) -> Result<Scalar, ParseError> {
-        match self.peek() {
-            Some(b'"') => self.parse_string().map(Scalar::Str),
-            Some(b'n') => self.parse_keyword("null").map(|_| Scalar::Null),
-            Some(b't') => self.parse_keyword("true").map(|_| Scalar::Bool(true)),
-            Some(b'f') => self.parse_keyword("false").map(|_| Scalar::Bool(false)),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            other => Err(ParseError::new(format!(
-                "unexpected {other:?} at byte {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(ParseError::new(format!(
-                "expected {word:?} at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Scalar, ParseError> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| ParseError::new(format!("invalid utf8 in number: {e}")))?;
-        // A plain digit run is kept exact — u64 counters/nanos must not
-        // round through f64. Decimal/scientific spellings stay floats.
-        if text.bytes().all(|b| b.is_ascii_digit()) && !text.is_empty() {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Scalar::Int(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(Scalar::Num)
-            .map_err(|e| ParseError::new(format!("bad number {text:?}: {e}")))
-    }
-
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err(ParseError::new("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .next()
-                                .and_then(|b| (b as char).to_digit(16))
-                                .ok_or_else(|| ParseError::new("bad \\u escape"))?;
-                            code = code * 16 + d;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| ParseError::new("bad \\u codepoint"))?,
-                        );
-                    }
-                    other => {
-                        return Err(ParseError::new(format!("bad escape {other:?}")));
-                    }
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-borrow the multi-byte UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|e| ParseError::new(format!("invalid utf8: {e}")))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    if first >= 0xF0 {
-        4
-    } else if first >= 0xE0 {
-        3
-    } else {
-        2
-    }
+/// Integer fields accept only exactly held values: a float spelling past
+/// 2^53 would be a rounded guess, which for a counter is corruption.
+fn get_u64(fields: &Value, key: &str) -> Result<u64, ParseError> {
+    let value = lookup(fields, key)?;
+    value.as_u64().ok_or_else(|| {
+        ParseError::new(format!(
+            "field {key:?}: expected non-negative integer, found {value:?}"
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -786,6 +561,33 @@ mod tests {
         ] {
             assert!(Event::from_json(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_halves_are_rejected() {
+        let line = r#"{"type":"metric","name":"smile \ud83d\ude00","value":1}"#;
+        match Event::from_json(line).expect("surrogate pair parses") {
+            Event::Metric { name, .. } => assert_eq!(name, "smile \u{1F600}"),
+            other => panic!("wrong variant {other:?}"),
+        }
+        for half in [r"\ud83d", r"\ude00", r"\ud83d\u0041", r"\ude00\ud83d"] {
+            let line = format!(r#"{{"type":"metric","name":"{half}","value":1}}"#);
+            assert!(Event::from_json(&line).is_err(), "accepted {line}");
+        }
+    }
+
+    #[test]
+    fn u64_fields_are_exact_past_2_pow_53() {
+        round_trip(Event::Counter {
+            name: "nanos".into(),
+            value: (1 << 53) + 1,
+        });
+        round_trip(Event::SpanClose {
+            path: "p".into(),
+            nanos: u64::MAX,
+        });
+        let rounded = r#"{"type":"counter","name":"n","value":1e300}"#;
+        assert!(Event::from_json(rounded).is_err());
     }
 
     #[test]

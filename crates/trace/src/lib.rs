@@ -1,6 +1,7 @@
 //! # mcpb-trace
 //!
-//! Zero-dependency observability substrate for the benchmark workspace:
+//! Observability substrate for the benchmark workspace. Its only
+//! dependency is the `mcpb-json` codec:
 //!
 //! - **Spans** ([`span`], [`with_span`]): RAII guards that nest through a
 //!   thread-local stack and aggregate into a span-tree profile with call

@@ -3,7 +3,8 @@
 //! Instead of serde's visitor architecture, this shim round-trips through an
 //! in-memory [`Value`] tree (the miniserde approach): [`Serialize`] renders
 //! a value into a [`Value`], [`Deserialize`] rebuilds one from it, and the
-//! companion `serde_json` shim handles text. The `#[derive(Serialize,
+//! companion `serde_json` shim handles text. [`Value`] is `mcpb-json`'s
+//! tree, so integers above 2^53 stay exact. The `#[derive(Serialize,
 //! Deserialize)]` macros come from the in-repo `serde_derive` shim, which
 //! parses token streams by hand (no `syn`), covering exactly the shapes this
 //! workspace uses: structs with named fields and enums with unit variants.
@@ -12,81 +13,8 @@
 //! serialization is fully deterministic — a workspace-wide invariant that
 //! `mcpb-audit` also enforces for result-producing code.
 
+pub use mcpb_json::Value;
 pub use serde_derive::{Deserialize, Serialize};
-
-/// In-memory JSON-like value tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// JSON boolean.
-    Bool(bool),
-    /// JSON number (stored as `f64`; integers up to 2^53 are exact, which
-    /// covers every counter and seed this workspace serializes).
-    Number(f64),
-    /// JSON string.
-    String(String),
-    /// JSON array.
-    Array(Vec<Value>),
-    /// JSON object with insertion-ordered keys.
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// The elements if this is an array.
-    pub fn as_array(&self) -> Option<&Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// The key/value pairs if this is an object.
-    pub fn as_object(&self) -> Option<&Vec<(String, Value)>> {
-        match self {
-            Value::Object(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// The string slice if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The number as `u64` if it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The boolean if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Object field lookup by key.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_object()
-            .and_then(|o| o.iter().find(|(k, _)| k == key).map(|(_, v)| v))
-    }
-}
 
 /// Deserialization error: a human-readable path/description.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,21 +50,27 @@ pub trait Deserialize: Sized {
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Number(*self as f64) }
+            fn to_value(&self) -> Value {
+                match u64::try_from(*self) {
+                    Ok(n) => Value::from(n),
+                    Err(_) => Value::Number(*self as f64),
+                }
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
+                let out_of_range = |n: &dyn std::fmt::Display| {
+                    Error::msg(format!("number {n} out of range for {}", stringify!($t)))
+                };
                 match v {
+                    Value::U64(n) => <$t>::try_from(*n).map_err(|_| out_of_range(n)),
                     Value::Number(n) if n.fract() == 0.0 => {
                         let lo = <$t>::MIN as f64;
                         let hi = <$t>::MAX as f64;
                         if *n >= lo && *n <= hi {
                             Ok(*n as $t)
                         } else {
-                            Err(Error::msg(format!(
-                                "number {n} out of range for {}",
-                                stringify!($t)
-                            )))
+                            Err(out_of_range(n))
                         }
                     }
                     other => Err(Error::msg(format!(
@@ -158,12 +92,11 @@ macro_rules! impl_float {
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
                 match v {
-                    Value::Number(n) => Ok(*n as $t),
                     // serde_json writes non-finite floats as null.
                     Value::Null => Ok(<$t>::NAN),
-                    other => Err(Error::msg(format!(
-                        "expected number, found {other:?}"
-                    ))),
+                    other => other.as_f64().map(|n| n as $t).ok_or_else(|| {
+                        Error::msg(format!("expected number, found {other:?}"))
+                    }),
                 }
             }
         }

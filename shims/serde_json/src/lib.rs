@@ -1,5 +1,5 @@
-//! Offline stand-in for `serde_json`: renders the serde shim's [`Value`]
-//! tree to JSON text and parses it back.
+//! Offline stand-in for `serde_json`: the serde shim's [`Value`] tree to
+//! JSON text and back, through the workspace codec `mcpb-json`.
 //!
 //! Covers the API surface this workspace uses: [`to_string`],
 //! [`to_string_pretty`], [`from_str`], and [`Value`] inspection. Object keys
@@ -12,415 +12,16 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serializes to compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    Ok(mcpb_json::to_string(&value.to_value()))
 }
 
 /// Serializes to pretty JSON (two-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    Ok(mcpb_json::to_string_pretty(&value.to_value()))
 }
 
 /// Parses a JSON document into any shim-deserializable type.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::msg(format!("trailing characters at byte {}", p.pos)));
-    }
+    let v = mcpb_json::parse(s).map_err(Error::msg)?;
     T::from_value(&v)
-}
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_number(*n, out),
-        Value::String(s) => write_string(s, out),
-        Value::Array(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-            write_value(&items[i], out, indent, depth + 1)
-        }),
-        Value::Object(pairs) => write_seq(out, indent, depth, '{', '}', pairs.len(), |out, i| {
-            let (k, val) = &pairs[i];
-            write_string(k, out);
-            out.push(':');
-            if indent.is_some() {
-                out.push(' ');
-            }
-            write_value(val, out, indent, depth + 1)
-        }),
-    }
-}
-
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut write_item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(w) = indent {
-            out.push('\n');
-            for _ in 0..w * (depth + 1) {
-                out.push(' ');
-            }
-        }
-        write_item(out, i);
-    }
-    if let Some(w) = indent {
-        out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
-        }
-    }
-    out.push(close);
-}
-
-fn write_number(n: f64, out: &mut String) {
-    if !n.is_finite() {
-        // Real serde_json refuses non-finite numbers; emitting null keeps
-        // reports loadable while flagging the bad value.
-        out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        // Exact integer: print without the trailing ".0".
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{}", n as i64));
-    } else {
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{n}"));
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::msg(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str, v: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(Error::msg(format!("invalid literal at byte {}", self.pos)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        match self.peek() {
-            Some(b'n') => self.eat_literal("null", Value::Null),
-            Some(b't') => self.eat_literal("true", Value::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            other => Err(Error::msg(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("non-utf8 number"))?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|e| Error::msg(format!("bad number `{text}`: {e}")))
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(Error::msg("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.parse_hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: the high half must be
-                                // followed by a `\u` low half.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(Error::msg(format!(
-                                        "high surrogate \\u{hi:04x} followed by \\u{lo:04x}, \
-                                         not a low surrogate"
-                                    )));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::msg("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| Error::msg("invalid \\u escape"))?
-                            };
-                            out.push(c);
-                            continue; // parse_hex4 already advanced past digits
-                        }
-                        other => {
-                            return Err(Error::msg(format!("bad escape {other:?}")));
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy a full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::msg("non-utf8 string content"))?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::msg("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::msg("non-utf8 \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| Error::msg("bad \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => {
-                    return Err(Error::msg(format!(
-                        "expected `,` or `]`, found {:?} at byte {}",
-                        other.map(|b| b as char),
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.parse_value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                other => {
-                    return Err(Error::msg(format!(
-                        "expected `,` or `}}`, found {:?} at byte {}",
-                        other.map(|b| b as char),
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trip_value() {
-        let v = Value::Object(vec![
-            ("name".into(), Value::String("graph \"x\"\n".into())),
-            ("n".into(), Value::Number(42.0)),
-            ("density".into(), Value::Number(1.75)),
-            ("ok".into(), Value::Bool(true)),
-            (
-                "xs".into(),
-                Value::Array(vec![Value::Number(1.0), Value::Null]),
-            ),
-            ("empty".into(), Value::Array(vec![])),
-        ]);
-        let compact = to_string(&v).unwrap();
-        let back: Value = from_str(&compact).unwrap();
-        assert_eq!(back, v);
-        let pretty = to_string_pretty(&v).unwrap();
-        let back: Value = from_str(&pretty).unwrap();
-        assert_eq!(back, v);
-        assert!(pretty.contains("\n  \"name\""));
-    }
-
-    #[test]
-    fn integers_have_no_decimal_point() {
-        assert_eq!(to_string(&42u64).unwrap(), "42");
-        assert_eq!(to_string(&1.5f64).unwrap(), "1.5");
-        assert_eq!(to_string(&(-3i64)).unwrap(), "-3");
-    }
-
-    #[test]
-    fn parses_nested_and_escapes() {
-        let v: Value = from_str(r#"{"a": [1, 2.5, "xA\n"], "b": {"c": null}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[2].as_str().unwrap(),
-            "xA\n"
-        );
-        assert_eq!(v.get("b").unwrap().get("c").unwrap(), &Value::Null);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(from_str::<Value>("{").is_err());
-        assert!(from_str::<Value>("[1, 2,]").is_err());
-        assert!(from_str::<Value>("1 2").is_err());
-        assert!(from_str::<Value>("nul").is_err());
-        // A high surrogate must pair with a low one.
-        assert!(from_str::<Value>(r#""\ud800\u0041""#).is_err());
-        assert!(from_str::<Value>(r#""\ud800\ue000""#).is_err());
-        assert!(from_str::<Value>(r#""\ud800x""#).is_err());
-        assert_eq!(
-            from_str::<Value>(r#""\ud801\udc00""#).unwrap(),
-            Value::String("\u{10400}".to_string())
-        );
-    }
-
-    #[test]
-    fn typed_round_trip() {
-        let xs: Vec<u32> = from_str("[1, 2, 3]").unwrap();
-        assert_eq!(xs, vec![1, 2, 3]);
-        let s: String = from_str(r#""hello""#).unwrap();
-        assert_eq!(s, "hello");
-    }
 }

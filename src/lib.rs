@@ -16,7 +16,7 @@
 //! * [`drl`] — the five Deep-RL methods: S2V-DQN, GCOMB, RL4IM,
 //!   Geometric-QN, LeNSE.
 //! * `bench` — benchmarking framework + one driver per table/figure.
-//! * [`core`] — declarative benchmark orchestration.
+//! * [`core`] — declarative benchmark orchestration (`bench::core`).
 //!
 //! ```
 //! use mcp_benchmark::prelude::*;
@@ -27,7 +27,7 @@
 //! ```
 
 pub use mcpb_bench as bench;
-pub use mcpb_core as core;
+pub use mcpb_bench::core;
 pub use mcpb_drl as drl;
 pub use mcpb_gnn as gnn;
 pub use mcpb_graph as graph;
@@ -39,7 +39,7 @@ pub use mcpb_rl as rl;
 /// One-stop prelude for examples and integration tests.
 pub mod prelude {
     pub use mcpb_bench as bench;
-    pub use mcpb_core::{run_benchmark, BenchmarkReport, BenchmarkSpec, Problem};
+    pub use mcpb_bench::core::{run_benchmark, BenchmarkReport, BenchmarkSpec, Problem};
     pub use mcpb_drl as drl;
     pub use mcpb_gnn as gnn;
     pub use mcpb_graph as graph;

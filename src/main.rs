@@ -59,9 +59,9 @@ const EXPERIMENTS: &[(&str, &str)] = &[
 fn run_spec(path: &str) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read spec {path:?}: {e}"));
-    let spec: mcpb_core::BenchmarkSpec =
+    let spec: mcpb_bench::core::BenchmarkSpec =
         serde_json::from_str(&text).unwrap_or_else(|e| panic!("invalid spec: {e}"));
-    let report = mcpb_core::run_benchmark(&spec);
+    let report = mcpb_bench::core::run_benchmark(&spec);
     println!("{}", report.quality_table.render());
     println!("{}", report.runtime_table.render());
     println!("{}", format_rating_table(&report.rating));
